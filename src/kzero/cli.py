@@ -18,7 +18,8 @@ conflict the JSON document wins.  Every integer in an emitted report is
 a decimal string, so arbitrary-precision values survive consumers that
 parse JSON numbers as doubles.
 
-Exit codes: 0 success, 1 parse or validation error, 2 verification
+Exit codes: 0 success; 1 usage, parse or validation error, or standard
+output closed before the whole report was written; 2 verification
 failure.
 """
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -133,8 +135,18 @@ def jobspec_to_dict(job: JobSpec) -> dict:
 # -- report building -------------------------------------------------
 
 
+def _decimal(n: int) -> str:
+    """str(n), also past CPython's int-to-string digit limit, which stays as it is."""
+    try:
+        return str(n)
+    except ValueError:
+        from decimal import Decimal  # imported only for such integers
+
+        return str(Decimal(n))
+
+
 def _poly_json(p: LaurentPoly) -> dict:
-    return {str(e): {"rank": str(c.rank), "degree": str(c.degree)} for e, c in p.terms()}
+    return {str(e): {"rank": _decimal(c.rank), "degree": _decimal(c.degree)} for e, c in p.terms()}
 
 
 def _check_rank_growth(ranks, n: int) -> None:
@@ -169,7 +181,7 @@ def run(job: JobSpec) -> dict:
                     "free_rank_over_base": str(gs.free_rank_over_base),
                     "point_base_abelian_rank": None,
                 },
-                "hilbert_ranks": [str(r) for r in series.ranks()],
+                "hilbert_ranks": [_decimal(r) for r in series.ranks()],
                 "intersection_table": {
                     "fiber.fiber": str(surface.intersect(fiber, fiber)),
                     "fiber.H": str(surface.intersect(fiber, section)),
@@ -199,7 +211,7 @@ def run(job: JobSpec) -> dict:
                     if gs.point_base_abelian_rank is None
                     else str(gs.point_base_abelian_rank),
                 },
-                "hilbert_ranks": [str(r) for r in series.ranks()],
+                "hilbert_ranks": [_decimal(r) for r in series.ranks()],
             }
         )
     else:
@@ -215,7 +227,7 @@ def run(job: JobSpec) -> dict:
                     "free_rank_over_base": str(rank),
                     "point_base_abelian_rank": str(rank),
                 },
-                "hilbert_ranks": [str(r) for r in series.ranks()],
+                "hilbert_ranks": [_decimal(r) for r in series.ranks()],
             }
         )
     return report
@@ -360,14 +372,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args, sys.stdout)
-        return _cmd_verify(args, sys.stdout)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed help (code 0) or usage and an error (code 2)
+        return 1 if exc.code else 0
+    try:
+        code = _cmd_run(args, sys.stdout) if args.command == "run" else _cmd_verify(args, sys.stdout)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader is gone; send the rest of stdout to devnull so the
+        # interpreter's flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

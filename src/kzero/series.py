@@ -4,11 +4,13 @@ The graded Grothendieck group of the base is the ring of Laurent
 polynomials in one variable ``T`` with :class:`~kzero.base.K0Class`
 coefficients; Hilbert series of graded algebras live in the matching
 power-series ring.  This module provides both, plus truncated series
-inversion and the three-term Hilbert recursion of a ruled quotient
-algebra.
+inversion and the Hilbert pieces of a ruled quotient algebra.  Series
+kernels run on lists of ranks and degrees (a class is r + eps*d).
 """
 
 from __future__ import annotations
+
+from math import comb
 
 from .base import BaseSpace, K0Class
 from .errors import (
@@ -199,14 +201,15 @@ class TruncatedSeries:
             raise BaseMismatch(f"mixed bases {p.base!r} and {self.base!r}")
         if not p.is_zero() and p.min_exp() < 0:
             raise NegativeExponent("cannot multiply a truncated series by T^-k terms")
-        out = []
-        for n in range(self.order + 1):
-            acc = self.base.zero
-            for e, c in p.terms():
-                if 0 <= n - e <= self.order:
-                    acc = acc + c * self.coeffs[n - e]
-            out.append(acc)
-        return TruncatedSeries(self.base, out)
+        ranks, degrees = self.ranks(), self.degrees()
+        out_r, out_d = [0] * len(ranks), [0] * len(ranks)
+        for e, c in p.terms():
+            cr, cd = c.rank, c.degree
+            for n in range(e, len(ranks)):
+                r = ranks[n - e]
+                out_r[n] += cr * r
+                out_d[n] += cr * degrees[n - e] + cd * r
+        return TruncatedSeries(self.base, map(self.base.k0, out_r, out_d))
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -236,15 +239,21 @@ def series_invert(p: LaurentPoly, order: int) -> TruncatedSeries:
     p0 = p.coeff(0)
     if not p0.is_unit():
         raise NonUnitConstantTerm(f"constant term {p0!r} is not a unit")
-    inv0 = p0.inverse()
+    # (r0 + eps*d0)^-1 = r0 - eps*d0, as r0 = +-1
+    r0, d0 = p0.rank, p0.degree
     deg = p.max_exp()
-    coeffs = [inv0]
+    pr = [p.coeff(k).rank for k in range(deg + 1)]
+    pd = [p.coeff(k).degree for k in range(deg + 1)]
+    br, bd = [r0], [-d0]
     for n in range(1, order + 1):
-        acc = p.base.zero
+        acc_r = acc_d = 0
         for k in range(1, min(n, deg) + 1):
-            acc = acc + p.coeff(k) * coeffs[n - k]
-        coeffs.append(-(inv0 * acc))
-    return TruncatedSeries(p.base, coeffs)
+            r = br[n - k]
+            acc_r += pr[k] * r
+            acc_d += pr[k] * bd[n - k] + pd[k] * r
+        br.append(-r0 * acc_r)
+        bd.append(d0 * acc_r - r0 * acc_d)
+    return TruncatedSeries(p.base, map(p.base.k0, br, bd))
 
 
 def _check_ruled_pair(E: K0Class, Q: K0Class) -> None:
@@ -256,20 +265,22 @@ def _check_ruled_pair(E: K0Class, Q: K0Class) -> None:
         raise RankConstraintViolation(f"rank(Q) must be 1, got {Q.rank}")
 
 
+def ruled_piece(deg_e: int, deg_q: int, n: int) -> tuple[int, int]:
+    """(rank, degree) of B_n = E*B_{n-1} - Q*B_{n-2} in closed form; (0, 0) for n < 0."""
+    if n < 0:
+        return 0, 0
+    return n + 1, deg_e * comb(n + 2, 3) - deg_q * comb(n + 1, 3)
+
+
 def hilbert_coeff_ruled(E: K0Class, Q: K0Class, n: int) -> K0Class:
     """Class of the degree-n piece of the ruled coordinate ring.
 
     B_n = 0 for n < 0, B_0 = 1, and B_n = E*B_{n-1} - Q*B_{n-2};
     equivalently the T^n coefficient of 1/(1 - E T + Q T^2).  The rank of
-    B_n is n+1 for every n >= 0.
+    B_n is n+1 for every n >= 0.  Evaluated in O(1) by :func:`ruled_piece`.
     """
     _check_ruled_pair(E, Q)
-    if n < 0:
-        return E.base.zero
-    prev, cur = E.base.zero, E.base.one
-    for _ in range(n):
-        prev, cur = cur, E * cur - Q * prev
-    return cur
+    return E.base.k0(*ruled_piece(E.degree, Q.degree, n))
 
 
 def hilbert_series_pn(spec, order: int) -> TruncatedSeries:

@@ -17,7 +17,9 @@ B_{-2-n} (nothing survives at n = -1).  Concretely
 
     (a T^i, b T^j)  =  euler_form_base(a, b*B_{i-j} - b*dual(B_{j-i-2}))
 
-extended biadditively, with B_k = 0 for k < 0.
+extended biadditively, with B_k = 0 for k < 0.  By the closed form
+B_n = (n+1, deg E*C(n+2,3) - deg Q*C(n+1,3)) for n >= 0, each term pair
+costs O(1): a few integer multiplications on (rank, degree) pairs.
 
 Intersection numbers of curve-like (total rank zero) classes are the
 negated Euler pairing.  On the rank-zero part of the lattice, the
@@ -32,11 +34,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .base import K0Class, curve, euler_form_base
+from .base import K0Class, curve
 from .bundle import PnBundleSpec
 from .errors import BaseMismatch, RankConstraintViolation
 from .intlinalg import integer_kernel
-from .series import LaurentPoly, hilbert_coeff_ruled
+from .series import LaurentPoly, hilbert_coeff_ruled, ruled_piece
 
 
 @dataclass(frozen=True)
@@ -106,21 +108,31 @@ class RuledSurface:
     def pushforward(self, c: SurfaceClass) -> K0Class:
         """K-theoretic derived pushforward to the curve, [f_*] - [R^1 f_*]."""
         self._require_own(c)
-        total = self.base.zero
-        for i, coeff in c.rep.terms():
-            total = total + coeff * (self.hilbert_coeff(-i) - self.hilbert_coeff(i - 2).dual())
-        return total
+        return self.base.k0(*self._push(c.rep.terms(), 0))
 
     def euler_form(self, a: SurfaceClass, b: SurfaceClass) -> int:
         """Alternating sum of Ext dimensions between two surface classes."""
         self._require_own(a)
         self._require_own(b)
+        b_terms, g1 = b.rep.terms(), 1 - self.genus
         total = 0
         for i, ai in a.rep.terms():
-            for j, bj in b.rep.terms():
-                push = bj * self.hilbert_coeff(i - j) - bj * self.hilbert_coeff(j - i - 2).dual()
-                total += euler_form_base(ai, push)
+            # euler_form_base(ai, push of b twisted by i), on integers
+            r, d = self._push(b_terms, i)
+            total += g1 * ai.rank * r + ai.rank * d - ai.degree * r
         return total
+
+    def _push(self, terms, shift: int) -> tuple[int, int]:
+        """(rank, degree) pushed down from sum_j c_j T^(j - shift); T^-m goes to B_m - dual(B_{-m-2})."""
+        de, dq = self.E.degree, self.Q.degree
+        rank = degree = 0
+        for j, c in terms:
+            br, bd = ruled_piece(de, dq, shift - j)
+            kr, kd = ruled_piece(de, dq, j - shift - 2)
+            xr, xd = br - kr, bd + kd
+            rank += c.rank * xr
+            degree += c.rank * xd + c.degree * xr
+        return rank, degree
 
     def intersect(self, a: SurfaceClass, b: SurfaceClass) -> int:
         """Intersection number of curve-like classes: minus the Euler form."""
@@ -180,9 +192,11 @@ class SurfaceClass:
     """A Grothendieck class on a ruled surface.
 
     ``rep`` is a Laurent polynomial whose exponent-i coefficient is the
-    class of a pullback from the curve twisted by -i; representatives are
-    not normalized modulo the relation ideal, and do not need to be for
-    any pairing computed here.
+    class of a pullback from the curve twisted by -i.  Representatives are
+    not normalized modulo the relation ideal, and pairings can depend on
+    the choice once deg Q != deg E or a term pair (a T^i, b T^j) has
+    j - i >= 2: the R^1 f_* term lacks the Q^-1 twist that Riemann-Roch
+    needs (see the known faults in bench/README.md).
     """
 
     surface: RuledSurface

@@ -1,0 +1,65 @@
+"""Object-level reference implementations, kept as test oracles.
+
+These are the straightforward versions of the kernels in
+``kzero.series`` and ``kzero.surface``: every step builds and multiplies
+``K0Class`` objects.  The library computes the same values on plain
+integer (rank, degree) pairs; the tests require exact agreement.
+"""
+
+from kzero import K0Class, LaurentPoly, TruncatedSeries, euler_form_base
+
+
+def hilbert_recursion(E: K0Class, Q: K0Class, n: int) -> K0Class:
+    """B_n = 0 for n < 0, B_0 = 1, and B_n = E*B_{n-1} - Q*B_{n-2}."""
+    if n < 0:
+        return E.base.zero
+    prev, cur = E.base.zero, E.base.one
+    for _ in range(n):
+        prev, cur = cur, E * cur - Q * prev
+    return cur
+
+
+def pushforward(surface, c) -> K0Class:
+    """sum_i c_i * (B_{-i} - dual(B_{i-2})), one term at a time."""
+    total = surface.base.zero
+    for i, coeff in c.rep.terms():
+        b = hilbert_recursion(surface.E, surface.Q, -i)
+        r1 = hilbert_recursion(surface.E, surface.Q, i - 2).dual()
+        total = total + coeff * (b - r1)
+    return total
+
+
+def euler_form(surface, a, b) -> int:
+    """The pairing summed over every term pair (i, j) of the two classes."""
+    E, Q = surface.E, surface.Q
+    total = 0
+    for i, ai in a.rep.terms():
+        for j, bj in b.rep.terms():
+            push = bj * hilbert_recursion(E, Q, i - j) - bj * hilbert_recursion(E, Q, j - i - 2).dual()
+            total += euler_form_base(ai, push)
+    return total
+
+
+def series_invert(p: LaurentPoly, order: int) -> TruncatedSeries:
+    """b_0 = p_0^-1 and b_n = -p_0^-1 * sum_{k=1}^{min(n, deg p)} p_k * b_{n-k}."""
+    inv0 = p.coeff(0).inverse()
+    deg = p.max_exp()
+    coeffs = [inv0]
+    for n in range(1, order + 1):
+        acc = p.base.zero
+        for k in range(1, min(n, deg) + 1):
+            acc = acc + p.coeff(k) * coeffs[n - k]
+        coeffs.append(-(inv0 * acc))
+    return TruncatedSeries(p.base, coeffs)
+
+
+def mul_poly(s: TruncatedSeries, p: LaurentPoly) -> TruncatedSeries:
+    """Truncated product of a series with a polynomial in T (no T^-k terms)."""
+    out = []
+    for n in range(s.order + 1):
+        acc = s.base.zero
+        for e, c in p.terms():
+            if 0 <= n - e <= s.order:
+                acc = acc + c * s.coeffs[n - e]
+        out.append(acc)
+    return TruncatedSeries(s.base, out)

@@ -24,6 +24,7 @@ from kzero import (
     reduce_poly,
     series_invert,
 )
+from reference import hilbert_recursion
 
 GRID = list(itertools.product(range(0, 6), range(-5, 6), range(-5, 6)))
 
@@ -77,7 +78,7 @@ def test_criterion_3_point_counting():
             assert s.euler_form(o, fib.twist(-n)) == n + 1
 
 
-@criterion(4, "hilbert rank law to n = 50 and recursion vs direct inversion")
+@criterion(4, "hilbert rank law to n = 50, closed form vs recursion vs direct inversion")
 def test_criterion_4_rank_law():
     x = curve(0)
     for de in range(-5, 6):
@@ -89,6 +90,7 @@ def test_criterion_4_rank_law():
                 b = hilbert_coeff_ruled(e_cls, q_cls, n)
                 assert b.rank == n + 1
                 assert inverted.coeff(n) == b
+                assert b == hilbert_recursion(e_cls, q_cls, n)
 
 
 @criterion(5, "p * series_invert(p, 30) = 1 mod T^31 for 200 random polynomials")

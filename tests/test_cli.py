@@ -1,6 +1,11 @@
 """Command-line behavior: parsing, reports, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -190,3 +195,44 @@ def test_verify_catches_a_corrupted_euler_form(monkeypatch, capsys):
 
 def test_verify_bad_grid_flag(capsys):
     assert main(["verify", "--grid", "5"]) == 1
+
+
+def test_usage_errors_exit_one_with_the_usage_text(capsys):
+    # exit 2 is reserved for a failed verification
+    assert main(["run", "--mode", "bogus"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: kzero run") and "invalid choice: 'bogus'" in err
+    assert main(["frobnicate"]) == 1
+    assert main([]) == 1
+    assert main(["--help"]) == 0
+
+
+def test_report_integers_may_pass_the_int_to_string_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    argv = ["run", "--mode", "point", "--relation", "1,-1000,1", "--series-order", "1500", "--json"]
+    assert main(argv) == 0
+    assert sys.get_int_max_str_digits() == limit
+    ranks = [int(Decimal(r)) for r in json.loads(capsys.readouterr().out)["hilbert_ranks"]]
+    assert len(ranks) == 1501 and max(ranks).bit_length() > 14_300  # past 4,300 digits
+    # (1 - 1000 T + T^2) * b = 1 modulo T^1501
+    p = (1, -1000, 1)
+    products = [sum(p[k] * ranks[n - k] for k in range(3) if k <= n) for n in range(1501)]
+    assert products == [1] + [0] * 1500
+
+
+def test_closed_stdout_pipe_ends_without_a_traceback():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["run", "--mode", "point", "--relation", "1,-3,3,-1", "--series-order", "20000", "--json"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kzero", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    try:
+        head = proc.stdout.read(10)
+        proc.stdout.close()  # the report is hundreds of kilobytes, far more than the pipe holds
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()  # no-op once it has exited
+    assert head == b'{\n  "schem'
+    assert err == b""
+    assert proc.returncode == 1

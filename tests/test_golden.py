@@ -1,0 +1,58 @@
+"""Golden reports: fixed jobs whose standard output must stay byte-for-byte the same.
+
+Each digest is the SHA-256 of everything ``kzero`` printed to standard
+output for the arguments beside it.  A change to the numbers, the
+layout or the key order of a report shows up here; a deliberate change
+to a report updates its digest in the same commit.
+"""
+
+import hashlib
+
+import pytest
+
+from kzero.cli import main
+
+GOLDEN = [
+    (
+        "71b00e8f86db7380ba02a05cd861c0312629f366e692bcd3917b1190b90a4b5a",
+        ["run", "--mode", "ruled", "--genus", "1", "--deg-e", "2", "--deg-q", "1"],
+    ),
+    (
+        "247ec6264b2f4d3951a1f8631983da9cf2fd7617d2d1399abeb6aa2ee6feee45",
+        ["run", "--mode", "ruled", "--genus", "0", "--deg-e", "-1", "--deg-q", "-1", "--json"],
+    ),
+    (
+        "8649063022f5aa2ebfac5c5a4fccc6332a60ad4dd3506e4b1757c380910e71d6",
+        ["run", "--mode", "ruled", "--genus", "2", "--deg-e", "3", "--deg-q", "-2", "--series-order", "40", "--json"],
+    ),
+    (
+        "207fe2393d2c7c1dd0603989c7f64ee75f9edd69a20085189375820ea0fc9e21",
+        ["run", "--mode", "ruled", "--genus", "5", "--deg-e", "-7", "--deg-q", "4", "--series-order", "120", "--json"],
+    ),
+    (
+        "c371c137414ed2069168bd1f82968b023e174c9664f9b3cf955ca3db502c33cc",
+        ["run", "--mode", "pnbundle", "--point", "--n", "2", "--koszul", "1:0,3:0,3:0,1:0", "--json"],
+    ),
+    (
+        "2565af3b91d38e9c01f7f34b05d1211e50e1a3a625ea250a2d9047e9a870750b",
+        ["run", "--mode", "pnbundle", "--genus", "1", "--n", "2", "--koszul", "1:0,3:2,3:1,1:0",
+         "--series-order", "60", "--json"],
+    ),
+    (
+        "02aee52ee4eea2755f494f3779c2c42887e62d6675ac10174c244190acc12d24",
+        ["run", "--mode", "point", "--relation", "1,-3,3,-1", "--json"],
+    ),
+    (
+        "7e0f75acb71a94686b0af1bc4bfe909f06dc158996e5e58eac057984968567e8",
+        ["run", "--mode", "point", "--relation", "1,-7,2,-1", "--series-order", "80", "--json"],
+    ),
+    ("55f591885005b070132706dabb153d43332870ad09cb96f300cca40ed3dcdb4c", ["verify"]),
+    ("756c55950e37376dc0656901d8c297a09e4af0164e1e1eb0e12b32ebd2d5547e", ["verify", "--grid", "2,7"]),
+]
+
+
+@pytest.mark.parametrize("digest, argv", GOLDEN, ids=[" ".join(argv) for _, argv in GOLDEN])
+def test_report_is_byte_for_byte_unchanged(digest, argv, capsys):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
