@@ -32,6 +32,7 @@ from .bundle import (
 )
 from .errors import (
     BaseMismatch,
+    InvariantViolation,
     NegativeExponent,
     NonUnitConstantTerm,
     NotAUnit,
@@ -39,7 +40,7 @@ from .errors import (
     RankConstraintViolation,
     ValidationError,
 )
-from .intlinalg import integer_kernel, matrix_rank, smith_normal_form
+from .intlinalg import integer_kernel
 from .series import (
     LaurentPoly,
     TruncatedSeries,
@@ -75,14 +76,13 @@ __all__ = [
     "RuledSurface",
     "SurfaceClass",
     "IntersectionLattice",
-    "smith_normal_form",
     "integer_kernel",
-    "matrix_rank",
     "ValidationError",
     "ParseError",
     "BaseMismatch",
     "NotAUnit",
     "RankConstraintViolation",
+    "InvariantViolation",
     "NonUnitConstantTerm",
     "NegativeExponent",
 ]

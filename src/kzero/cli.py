@@ -13,14 +13,16 @@ A job is a JSON document with keys ``mode`` (``ruled`` | ``pnbundle`` |
 ``{"kind": "curve", "genus": G}``), ``parameters`` (per mode: ``deg_e``
 and ``deg_q``; ``n`` and ``koszul`` as a list of [rank, degree] pairs;
 ``relation`` as a list of integer coefficients), and an optional
-``series_order`` (default 32).  Flags may supply the same fields; on
+``series_order`` (default 32, at most 100000; a larger order is a
+validation error).  Flags may supply the same fields; on
 conflict the JSON document wins.  Every integer in an emitted report is
 a decimal string, so arbitrary-precision values survive consumers that
 parse JSON numbers as doubles.
 
 Exit codes: 0 success; 1 usage, parse or validation error, or standard
 output closed before the whole report was written; 2 verification
-failure.
+failure; 3 internal error (a consistency check inside kzero failed,
+which is a fault in kzero, not in the input).
 """
 
 from __future__ import annotations
@@ -34,13 +36,14 @@ from dataclasses import dataclass, field
 
 from .base import BaseSpace, curve, point
 from .bundle import PnBundleSpec, free_abelian_rank, group_structure
-from .errors import ParseError, ValidationError
+from .errors import InvariantViolation, ParseError, ValidationError
 from .series import LaurentPoly, series_invert
 from .surface import RuledSurface
 from . import verify as verify_mod
 
 SCHEMA_VERSION = 1
 DEFAULT_SERIES_ORDER = 32
+MAX_SERIES_ORDER = 100_000
 MODES = ("ruled", "pnbundle", "point")
 
 
@@ -152,7 +155,7 @@ def _poly_json(p: LaurentPoly) -> dict:
 def _check_rank_growth(ranks, n: int) -> None:
     for i, r in enumerate(ranks):
         if r != math.comb(n + i, n):
-            raise RuntimeError(f"hilbert rank check failed at T^{i}: {r} != binomial({n + i},{n})")
+            raise InvariantViolation(f"hilbert rank check failed at T^{i}: {r} != binomial({n + i},{n})")
 
 
 def run(job: JobSpec) -> dict:
@@ -160,6 +163,8 @@ def run(job: JobSpec) -> dict:
     report = {"schema": SCHEMA_VERSION, "input": jobspec_to_dict(job)}
     if job.series_order < 0:
         raise ValidationError("series_order must be >= 0")
+    if job.series_order > MAX_SERIES_ORDER:
+        raise ValidationError(f"series_order must be <= {MAX_SERIES_ORDER}")
     if job.mode == "ruled":
         if job.base.is_point:
             raise ValidationError("ruled mode needs a curve base")
@@ -383,6 +388,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except InvariantViolation as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except BrokenPipeError:
         # the reader is gone; send the rest of stdout to devnull so the
         # interpreter's flush at exit does not raise again

@@ -5,6 +5,10 @@ class ValidationError(ValueError):
     """A value violates one of the documented structural invariants."""
 
 
+class InvariantViolation(Exception):
+    """An internal consistency check failed: a fault in kzero, not bad input."""
+
+
 class ParseError(ValueError):
     """Malformed job input (CLI flags or a JSON job document)."""
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from .base import K0Class, curve
 from .bundle import PnBundleSpec
-from .errors import BaseMismatch, RankConstraintViolation
+from .errors import BaseMismatch, InvariantViolation, RankConstraintViolation
 from .intlinalg import integer_kernel
 from .series import LaurentPoly, hilbert_coeff_ruled, ruled_piece
 
@@ -161,8 +161,10 @@ class RuledSurface:
         stacked = [list(row) for row in gram]
         stacked += [[gram[i][j] for i in range(3)] for j in range(3)]
         radical = tuple(tuple(vec) for vec in integer_kernel(stacked))
-        if not _complements_to_unimodular(radical):
-            raise RuntimeError("radical does not complement the fiber and section classes")
+        # {fiber, r, H} is a basis of the rank-zero lattice exactly when the
+        # one radical vector r has det [(1,0,0), r, (0,0,1)] = r[1] = +-1
+        if len(radical) != 1 or radical[0][1] not in (1, -1):
+            raise InvariantViolation("radical does not complement the fiber and section classes")
         ns_gram = (
             (-gram[0][0], -gram[0][2]),
             (-gram[2][0], -gram[2][2]),
@@ -172,19 +174,6 @@ class RuledSurface:
     def _require_own(self, c: SurfaceClass) -> None:
         if c.surface != self:
             raise BaseMismatch("class belongs to a different surface")
-
-
-def _complements_to_unimodular(radical) -> bool:
-    # {fiber, radical..., H} must be a basis of the full rank-zero lattice
-    if len(radical) != 1:
-        return False
-    rows = [[1, 0, 0], list(radical[0]), [0, 0, 1]]
-    det = (
-        rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-        - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-        + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
-    )
-    return det in (1, -1)
 
 
 @dataclass(frozen=True)

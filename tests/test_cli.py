@@ -9,8 +9,17 @@ from pathlib import Path
 
 import pytest
 
-from kzero import RuledSurface
-from kzero.cli import DEFAULT_SERIES_ORDER, jobspec_from_dict, jobspec_to_dict, main, run
+import kzero.surface
+from kzero import InvariantViolation, RuledSurface
+from kzero.cli import (
+    DEFAULT_SERIES_ORDER,
+    MAX_SERIES_ORDER,
+    _check_rank_growth,
+    jobspec_from_dict,
+    jobspec_to_dict,
+    main,
+    run,
+)
 
 
 def ruled_doc(genus="0", deg_e="-1", deg_q="-1", order=None):
@@ -205,6 +214,29 @@ def test_usage_errors_exit_one_with_the_usage_text(capsys):
     assert main(["frobnicate"]) == 1
     assert main([]) == 1
     assert main(["--help"]) == 0
+
+
+def test_series_order_limit(capsys):
+    assert MAX_SERIES_ORDER == 100_000
+    ruled = ["run", "--mode", "ruled", "--genus", "0", "--deg-e", "-1", "--deg-q", "-1"]
+    assert main([*ruled, "--series-order", "100001"]) == 1
+    assert "series_order must be <= 100000" in capsys.readouterr().err
+    assert main(["run", "--mode", "point", "--relation", "1,-1", "--series-order", "100000", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["hilbert_ranks"] == ["1"] * 100_001
+
+
+def test_internal_invariant_failure_exits_three_without_a_traceback(monkeypatch, capsys):
+    assert not issubclass(InvariantViolation, ValueError)  # never read as bad input
+    with pytest.raises(InvariantViolation, match="T\\^1"):
+        _check_rank_growth([1, 3], 1)
+    # a radical vector with middle entry 2 does not complement fiber and H
+    monkeypatch.setattr(kzero.surface, "integer_kernel", lambda mat: [[0, 2, 0]])
+    assert main(["run", "--mode", "ruled", "--genus", "0", "--deg-e", "-1", "--deg-q", "-1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: radical does not complement") and "Traceback" not in err
+    # verify counts the same fault as a failed check
+    assert main(["verify", "--grid", "0,0"]) == 2
+    assert "verification FAILED" in capsys.readouterr().out
 
 
 def test_report_integers_may_pass_the_int_to_string_digit_limit(capsys):

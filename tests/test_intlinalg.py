@@ -1,34 +1,18 @@
-"""Smith normal form and integer kernels, checked against rational oracles."""
+"""Integer kernels, checked against rational and sympy oracles."""
 
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
-from kzero import integer_kernel, matrix_rank, smith_normal_form
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import smith_normal_form
+from sympy.polys.matrices import DomainMatrix
 
-
-def matmul(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
-
-
-def rational_det(mat):
-    # fraction-free enough for tests: plain Gaussian elimination over Q
-    a = [[Fraction(x) for x in row] for row in mat]
-    n = len(a)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            f = a[r][col] * inv
-            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
+from kzero import integer_kernel
 
 
 def rational_rank(mat):
@@ -53,45 +37,27 @@ def random_matrix(rng, m, n, bound=9):
     return [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
 
 
-def test_hand_picked_forms():
-    d, _, _ = smith_normal_form([[1]])
-    assert d == [[1]]
-    d, _, _ = smith_normal_form([[0]])
-    assert d == [[0]]
-    d, _, _ = smith_normal_form([[-5]])
-    assert d == [[5]]
-    # invariant factors of diag(4, 6) are gcd = 2 and lcm-like 12
-    d, _, _ = smith_normal_form([[4, 0], [0, 6]])
-    assert [d[0][0], d[1][1]] == [2, 12]
+def near_full_rank(rng, n, deficiency, bound):
+    rows = random_matrix(rng, n - deficiency, n, bound)
+    for _ in range(deficiency):
+        mix = [rng.randint(-2, 2) for _ in rows]
+        rows.append([sum(c * row[j] for c, row in zip(mix, rows)) for j in range(n)])
+    rng.shuffle(rows)
+    return rows
 
 
-def test_snf_factorization_and_shape():
-    rng = random.Random(99)
-    for _ in range(60):
-        m, n = rng.randint(1, 5), rng.randint(1, 5)
-        a = random_matrix(rng, m, n)
-        d, p, q = smith_normal_form(a)
-        assert matmul(matmul(p, a), q) == d
-        assert abs(rational_det(p)) == 1
-        assert abs(rational_det(q)) == 1
-        diag = [d[i][i] for i in range(min(m, n))]
-        for i in range(m):
-            for j in range(n):
-                if i != j:
-                    assert d[i][j] == 0
-        for x, y in zip(diag, diag[1:]):
-            assert x >= 0 and y >= 0
-            if x:
-                assert y % x == 0
-            else:
-                assert y == 0
+def sympy_rank(mat):
+    return DomainMatrix.from_list(mat, ZZ).rank()
 
 
-def test_rank_matches_rational_rank():
-    rng = random.Random(5)
-    for _ in range(40):
-        a = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), 6)
-        assert matrix_rank(a) == rational_rank(a)
+def sympy_is_saturated(basis):
+    # the rows span a saturated lattice iff every invariant factor is a unit
+    d = smith_normal_form(Matrix(basis), domain=ZZ)
+    return all(abs(d[i, i]) == 1 for i in range(len(basis)))
+
+
+def annihilates(mat, vec):
+    return all(sum(r * x for r, x in zip(row, vec)) == 0 for row in mat)
 
 
 def test_kernel_vectors_annihilate():
@@ -122,3 +88,39 @@ def test_kernel_is_saturated():
 def test_kernel_of_zero_and_identity():
     assert integer_kernel([[0, 0], [0, 0]]) == [[1, 0], [0, 1]]
     assert integer_kernel([[1, 0], [0, 1]]) == []
+
+
+def test_kernel_of_empty_and_ragged_matrices():
+    assert integer_kernel([]) == []
+    assert integer_kernel([[]]) == []
+    with pytest.raises(ValueError, match="ragged"):
+        integer_kernel([[1, 2], [3]])
+
+
+@st.composite
+def matrices(draw):
+    m, n = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    row = st.lists(st.integers(-30, 30), min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=m, max_size=m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_kernel_matches_sympy(a):
+    kernel = integer_kernel(a)
+    assert len(kernel) == len(a[0]) - sympy_rank(a)
+    assert all(annihilates(a, vec) for vec in kernel)
+    if kernel:
+        assert sympy_is_saturated(kernel)
+
+
+def test_kernel_of_a_near_full_rank_60_by_60_matrix_stays_small():
+    a = near_full_rank(random.Random(60), 60, 5, 50)
+    start = time.perf_counter()
+    kernel = integer_kernel(a)
+    elapsed = time.perf_counter() - start
+    assert len(kernel) == 60 - sympy_rank(a) == 5
+    assert all(annihilates(a, vec) for vec in kernel)
+    assert sympy_is_saturated(kernel)
+    assert max(abs(x).bit_length() for vec in kernel for x in vec) < 1000
+    assert elapsed < 10
