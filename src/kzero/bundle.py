@@ -11,6 +11,8 @@ Connectedness forces E_0 = 1 and the top class has rank 1, so the
 relation is invertible at both ends: every element of the quotient has a
 unique normal form supported on exponents 0..n, and the quotient is a
 free module over the base ring with basis 1, T, ..., T^n.
+:func:`reduce_poly` finds it by one pass of synthetic division on the
+polynomial's integer rank and degree lists.
 """
 
 from __future__ import annotations
@@ -117,23 +119,44 @@ class BundleClass:
 def reduce_poly(p: LaurentPoly, spec: PnBundleSpec) -> BundleClass:
     """Unique representative of p with T-degree <= n modulo the relation ideal.
 
-    Negative exponents are cleared against the unit constant coefficient
-    of the relation, then exponents above n against its unit leading
-    coefficient.  Each step subtracts an explicit multiple of the
-    relation, so the output is congruent to the input.
+    One pass of synthetic division on dense rank and degree lists over
+    the exponents min(lo, 0) .. max(hi, n) of p.  Upwards from the lowest
+    exponent, each negative-exponent coefficient c is cleared by
+    subtracting c * T^e * relation, whose constant term is (1, 0).  Then,
+    downwards from the highest exponent, each coefficient c above n is
+    cleared by subtracting c * lead^-1 * T^(e-n-1) * relation; the
+    leading class lead = (r, d) has r = +-1, so lead^-1 = (r, -d).  Each
+    step subtracts a multiple of the relation, so the output is
+    congruent to the input.  The cost is about (n + 2) steps per exponent
+    in the span of p, however few terms p has.
     """
     if p.base != spec.base:
         raise BaseMismatch(f"polynomial over {p.base!r}, spec over {spec.base!r}")
-    rel = spec.relation_poly()
     top = spec.n + 1
-    lead_inv = rel.coeff(top).inverse()
-    while not p.is_zero() and p.min_exp() < 0:
-        e = p.min_exp()
-        p = p - rel.shift(e) * p.coeff(e)
-    while not p.is_zero() and p.max_exp() > spec.n:
-        e = p.max_exp()
-        p = p - rel.shift(e - top) * (p.coeff(e) * lead_inv)
-    return BundleClass(spec, tuple(p.coeff(i) for i in range(spec.n + 1)))
+    _, rel_r, rel_d = spec.relation_poly()._arrays()
+    lo, pr, pd = p._arrays()
+    start = min(lo, 0)
+    size = max(lo + len(pr), top) - start
+    ranks, degrees = [0] * size, [0] * size
+    ranks[lo - start : lo - start + len(pr)] = pr
+    degrees[lo - start : lo - start + len(pd)] = pd
+    # ranks[i], degrees[i] hold the coefficient of T^(start + i)
+    for i in range(-start):
+        r, d = ranks[i], degrees[i]
+        if r or d:
+            for q in range(top + 1):
+                ranks[i + q] -= r * rel_r[q]
+                degrees[i + q] -= r * rel_d[q] + d * rel_r[q]
+    lead_r, lead_d = rel_r[top], rel_d[top]
+    for i in range(size - 1, top - start - 1, -1):
+        r, d = ranks[i], degrees[i]
+        if r or d:
+            mr, md = r * lead_r, d * lead_r - r * lead_d
+            for q in range(top + 1):
+                ranks[i - top + q] -= mr * rel_r[q]
+                degrees[i - top + q] -= mr * rel_d[q] + md * rel_r[q]
+    out = slice(-start, top - start)
+    return BundleClass(spec, tuple(map(spec.base.k0, ranks[out], degrees[out])))
 
 
 def pullback(f: K0Class, spec: PnBundleSpec) -> BundleClass:

@@ -158,83 +158,66 @@ def _check_rank_growth(ranks, n: int) -> None:
             raise InvariantViolation(f"hilbert rank check failed at T^{i}: {r} != binomial({n + i},{n})")
 
 
+def _surface_report(surface: RuledSurface) -> dict:
+    fiber = surface.fiber_class()
+    section = surface.section_class()
+    lattice = surface.neron_severi()
+    return {
+        "intersection_table": {
+            "fiber.fiber": str(surface.intersect(fiber, fiber)),
+            "fiber.H": str(surface.intersect(fiber, section)),
+            "H.fiber": str(surface.intersect(section, fiber)),
+            "H.H": str(surface.intersect(section, section)),
+        },
+        "gram_f1": [[str(x) for x in row] for row in lattice.gram],
+        "radical_basis": [[str(x) for x in vec] for vec in lattice.radical_basis],
+        "gram_ns": [[str(x) for x in row] for row in lattice.ns_gram],
+        "e_invariant": str(surface.e_invariant()),
+    }
+
+
 def run(job: JobSpec) -> dict:
-    """Compute the full report for a job; raises ValidationError on bad input."""
+    """Compute the full report for a job; raises ValidationError on bad input.
+
+    Every mode yields a relation polynomial and the group structure; the
+    Hilbert series is its inverse.  Bundle modes also check the Hilbert
+    ranks against binomial(n + i, n), and ruled mode adds the surface's
+    intersection data.
+    """
     report = {"schema": SCHEMA_VERSION, "input": jobspec_to_dict(job)}
     if job.series_order < 0:
         raise ValidationError("series_order must be >= 0")
     if job.series_order > MAX_SERIES_ORDER:
         raise ValidationError(f"series_order must be <= {MAX_SERIES_ORDER}")
-    if job.mode == "ruled":
-        if job.base.is_point:
-            raise ValidationError("ruled mode needs a curve base")
-        surface = RuledSurface.from_degrees(
-            job.base.genus, job.parameters["deg_e"], job.parameters["deg_q"]
-        )
-        spec = surface.bundle_spec()
-        relation = spec.relation_poly()
-        series = series_invert(relation, job.series_order)
-        _check_rank_growth(series.ranks(), 1)
-        gs = group_structure(spec)
-        fiber = surface.fiber_class()
-        section = surface.section_class()
-        lattice = surface.neron_severi()
-        report.update(
-            {
-                "relation": _poly_json(relation),
-                "group_structure": {
-                    "free_rank_over_base": str(gs.free_rank_over_base),
-                    "point_base_abelian_rank": None,
-                },
-                "hilbert_ranks": [_decimal(r) for r in series.ranks()],
-                "intersection_table": {
-                    "fiber.fiber": str(surface.intersect(fiber, fiber)),
-                    "fiber.H": str(surface.intersect(fiber, section)),
-                    "H.fiber": str(surface.intersect(section, fiber)),
-                    "H.H": str(surface.intersect(section, section)),
-                },
-                "gram_f1": [[str(x) for x in row] for row in lattice.gram],
-                "radical_basis": [[str(x) for x in vec] for vec in lattice.radical_basis],
-                "gram_ns": [[str(x) for x in row] for row in lattice.ns_gram],
-                "e_invariant": str(surface.e_invariant()),
-            }
-        )
-    elif job.mode == "pnbundle":
-        n = job.parameters["n"]
-        koszul = tuple(job.base.k0(r, d) for r, d in job.parameters["koszul"])
-        spec = PnBundleSpec(job.base, n, koszul)
-        relation = spec.relation_poly()
-        series = series_invert(relation, job.series_order)
-        _check_rank_growth(series.ranks(), n)
-        gs = group_structure(spec)
-        report.update(
-            {
-                "relation": _poly_json(relation),
-                "group_structure": {
-                    "free_rank_over_base": str(gs.free_rank_over_base),
-                    "point_base_abelian_rank": None
-                    if gs.point_base_abelian_rank is None
-                    else str(gs.point_base_abelian_rank),
-                },
-                "hilbert_ranks": [_decimal(r) for r in series.ranks()],
-            }
-        )
-    else:
+    spec = surface = None
+    if job.mode == "point":
         if not job.base.is_point:
             raise ValidationError("point mode needs a point base")
         relation = LaurentPoly.from_int_coeffs(job.base, job.parameters["relation"])
-        rank = free_abelian_rank(relation)
-        series = series_invert(relation, job.series_order)
-        report.update(
-            {
-                "relation": _poly_json(relation),
-                "group_structure": {
-                    "free_rank_over_base": str(rank),
-                    "point_base_abelian_rank": str(rank),
-                },
-                "hilbert_ranks": [_decimal(r) for r in series.ranks()],
-            }
-        )
+        free_rank = abelian_rank = free_abelian_rank(relation)
+    else:
+        if job.mode == "ruled":
+            if job.base.is_point:
+                raise ValidationError("ruled mode needs a curve base")
+            surface = RuledSurface.from_degrees(job.base.genus, job.parameters["deg_e"], job.parameters["deg_q"])
+            spec = surface.bundle_spec()
+        else:
+            koszul = tuple(job.base.k0(r, d) for r, d in job.parameters["koszul"])
+            spec = PnBundleSpec(job.base, job.parameters["n"], koszul)
+        relation = spec.relation_poly()
+        gs = group_structure(spec)
+        free_rank, abelian_rank = gs.free_rank_over_base, gs.point_base_abelian_rank
+    series = series_invert(relation, job.series_order)
+    if spec is not None:
+        _check_rank_growth(series.ranks(), spec.n)
+    report["relation"] = _poly_json(relation)
+    report["group_structure"] = {
+        "free_rank_over_base": str(free_rank),
+        "point_base_abelian_rank": None if abelian_rank is None else str(abelian_rank),
+    }
+    report["hilbert_ranks"] = [_decimal(r) for r in series.ranks()]
+    if surface is not None:
+        report.update(_surface_report(surface))
     return report
 
 

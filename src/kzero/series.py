@@ -4,8 +4,15 @@ The graded Grothendieck group of the base is the ring of Laurent
 polynomials in one variable ``T`` with :class:`~kzero.base.K0Class`
 coefficients; Hilbert series of graded algebras live in the matching
 power-series ring.  This module provides both, plus truncated series
-inversion and the Hilbert pieces of a ruled quotient algebra.  Series
-kernels run on lists of ranks and degrees (a class is r + eps*d).
+inversion and the Hilbert pieces of a ruled quotient algebra.
+
+The kernels run on plain integer lists: a class is r + eps*d with
+eps^2 = 0, so a polynomial is a lowest exponent plus dense lists of
+ranks and degrees (``LaurentPoly._arrays``), and ``K0Class`` objects are
+built only for the coefficients of a result.  Products of polynomials
+go through one big-integer multiplication per list pair (Kronecker
+substitution); series inversion and truncated products convolve the
+lists directly.
 """
 
 from __future__ import annotations
@@ -87,6 +94,24 @@ class LaurentPoly:
             raise ValueError("the zero polynomial has no support")
         return max(self._terms)
 
+    def _arrays(self) -> tuple[int, list[int], list[int]]:
+        """(lo, ranks, degrees): dense lists over the exponents lo .. max_exp; (0, [], []) for 0."""
+        if not self._terms:
+            return 0, [], []
+        lo, hi = min(self._terms), max(self._terms)
+        ranks, degrees = [0] * (hi - lo + 1), [0] * (hi - lo + 1)
+        for e, c in self._terms.items():
+            ranks[e - lo], degrees[e - lo] = c.rank, c.degree
+        return lo, ranks, degrees
+
+    @classmethod
+    def _from_arrays(cls, base: BaseSpace, lo: int, ranks, degrees) -> LaurentPoly:
+        """The polynomial sum (ranks[i], degrees[i]) T^(lo+i); zero coefficients are skipped."""
+        p = cls.__new__(cls)
+        p.base = base
+        p._terms = {lo + i: K0Class(base, r, d) for i, (r, d) in enumerate(zip(ranks, degrees)) if r or d}
+        return p
+
     def _require_same_base(self, other: LaurentPoly) -> None:
         if self.base != other.base:
             raise BaseMismatch(f"mixed bases {self.base!r} and {other.base!r}")
@@ -109,15 +134,22 @@ class LaurentPoly:
         return LaurentPoly(self.base, {e: -c for e, c in self._terms.items()})
 
     def __mul__(self, other):
+        """Product with a polynomial, a class or an integer.
+
+        Two polynomials multiply on their dense arrays: ranks ra*rb and
+        degrees ra*db + da*rb, three integer convolutions by Kronecker
+        substitution.  The cost grows with the exponent spans, not with
+        the number of terms, so (1 + T^k)^2 takes time and memory linear
+        in k.
+        """
         if isinstance(other, LaurentPoly):
             self._require_same_base(other)
-            out: dict[int, K0Class] = {}
-            for e1, c1 in self._terms.items():
-                for e2, c2 in other._terms.items():
-                    e = e1 + e2
-                    p = c1 * c2
-                    out[e] = out[e] + p if e in out else p
-            return LaurentPoly(self.base, out)
+            if not self._terms or not other._terms:
+                return LaurentPoly(self.base)
+            lo1, ra, da = self._arrays()
+            lo2, rb, db = other._arrays()
+            degrees = [x + y for x, y in zip(_convolve(ra, db), _convolve(da, rb))]
+            return LaurentPoly._from_arrays(self.base, lo1 + lo2, _convolve(ra, rb), degrees)
         if isinstance(other, K0Class):
             return LaurentPoly(self.base, {e: c * other for e, c in self._terms.items()})
         if isinstance(other, int):
@@ -234,16 +266,14 @@ def series_invert(p: LaurentPoly, order: int) -> TruncatedSeries:
     """
     if order < 0:
         raise ValidationError("truncation order must be >= 0")
-    if not p.is_zero() and p.min_exp() < 0:
+    lo, pr, pd = p._arrays()
+    if lo < 0:
         raise NegativeExponent("only power series (no T^-k terms) can be inverted")
-    p0 = p.coeff(0)
-    if not p0.is_unit():
-        raise NonUnitConstantTerm(f"constant term {p0!r} is not a unit")
+    if lo > 0 or not pr or pr[0] not in (1, -1):
+        raise NonUnitConstantTerm(f"constant term {p.coeff(0)!r} is not a unit")
     # (r0 + eps*d0)^-1 = r0 - eps*d0, as r0 = +-1
-    r0, d0 = p0.rank, p0.degree
-    deg = p.max_exp()
-    pr = [p.coeff(k).rank for k in range(deg + 1)]
-    pd = [p.coeff(k).degree for k in range(deg + 1)]
+    r0, d0 = pr[0], pd[0]
+    deg = len(pr) - 1
     br, bd = [r0], [-d0]
     for n in range(1, order + 1):
         acc_r = acc_d = 0
@@ -254,6 +284,35 @@ def series_invert(p: LaurentPoly, order: int) -> TruncatedSeries:
         br.append(-r0 * acc_r)
         bd.append(d0 * acc_r - r0 * acc_d)
     return TruncatedSeries(p.base, map(p.base.k0, br, bd))
+
+
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    """The coefficient list of (sum a_i x^i)(sum b_j x^j), for nonempty lists.
+
+    Kronecker substitution: each list is packed into one integer with
+    k-byte slots at x = 256^k and the two integers are multiplied once.
+    No product coefficient exceeds bound = max|a| * max|b| * min(len a,
+    len b) in size, so a slot of k bytes holds it with its sign, and
+    adding 2^(8k-1) to every slot makes all slots non-negative before the
+    bytes are split apart.
+    """
+    n = len(a) + len(b) - 1
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    if not bound:
+        return [0] * n
+    k = bound.bit_length() // 8 + 1
+    half = 1 << (8 * k - 1)
+    offset = int.from_bytes(half.to_bytes(k, "little") * n, "little")
+    raw = (_pack(a, k) * _pack(b, k) + offset).to_bytes(n * k, "little")
+    return [int.from_bytes(raw[i : i + k], "little") - half for i in range(0, n * k, k)]
+
+
+def _pack(xs: list[int], k: int) -> int:
+    """sum xs[i] * 256^(k*i), for entries below 2^(8k-1) in size."""
+    zero = bytes(k)
+    pos = b"".join(x.to_bytes(k, "little") if x > 0 else zero for x in xs)
+    neg = b"".join((-x).to_bytes(k, "little") if x < 0 else zero for x in xs)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def _check_ruled_pair(E: K0Class, Q: K0Class) -> None:

@@ -13,13 +13,19 @@ amount is an auto-equivalence, so only the relative twist matters, and
 the derived pushforward of a twisted pullback is controlled by the
 graded pieces B_n of the homogeneous coordinate ring: the direct image
 contributes B_n, the first derived image contributes the dual of
-B_{-2-n} (nothing survives at n = -1).  Concretely
+B_{-2-n} twisted by Q^-1 (nothing survives at n = -1).  Concretely
 
-    (a T^i, b T^j)  =  euler_form_base(a, b*B_{i-j} - b*dual(B_{j-i-2}))
+    (a T^i, b T^j)  =  euler_form_base(a, b*B_{i-j} - b*dual(B_{j-i-2})*Q^-1)
 
 extended biadditively, with B_k = 0 for k < 0.  By the closed form
 B_n = (n+1, deg E*C(n+2,3) - deg Q*C(n+1,3)) for n >= 0, each term pair
 costs O(1): a few integer multiplications on (rank, degree) pairs.
+
+When deg Q = deg E the surface is numerically the commutative ruled
+surface P(E) with Q = det E: the pairing is the Riemann-Roch pairing and
+vanishes on the relation ideal from both sides.  When deg Q != deg E it
+does not vanish on the ideal in general, so pairings can depend on the
+representative of a class.
 
 Intersection numbers of curve-like (total rank zero) classes are the
 negated Euler pairing.  On the rank-zero part of the lattice, the
@@ -123,13 +129,17 @@ class RuledSurface:
         return total
 
     def _push(self, terms, shift: int) -> tuple[int, int]:
-        """(rank, degree) pushed down from sum_j c_j T^(j - shift); T^-m goes to B_m - dual(B_{-m-2})."""
+        """(rank, degree) pushed down from sum_j c_j T^(j - shift).
+
+        T^-m goes to B_m - dual(B_{-m-2}) * Q^-1, where dual(B_k) * Q^-1 =
+        (k+1, -deg B_k - (k+1) deg Q).
+        """
         de, dq = self.E.degree, self.Q.degree
         rank = degree = 0
         for j, c in terms:
             br, bd = ruled_piece(de, dq, shift - j)
             kr, kd = ruled_piece(de, dq, j - shift - 2)
-            xr, xd = br - kr, bd + kd
+            xr, xd = br - kr, bd + kd + kr * dq
             rank += c.rank * xr
             degree += c.rank * xd + c.degree * xr
         return rank, degree
@@ -182,10 +192,9 @@ class SurfaceClass:
 
     ``rep`` is a Laurent polynomial whose exponent-i coefficient is the
     class of a pullback from the curve twisted by -i.  Representatives are
-    not normalized modulo the relation ideal, and pairings can depend on
-    the choice once deg Q != deg E or a term pair (a T^i, b T^j) has
-    j - i >= 2: the R^1 f_* term lacks the Q^-1 twist that Riemann-Roch
-    needs (see the known faults in bench/README.md).
+    not normalized modulo the relation ideal.  Pairings do not depend on
+    the choice when deg Q = deg E; when deg Q != deg E they can, and no
+    independent formula is known to check them against.
     """
 
     surface: RuledSurface

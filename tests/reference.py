@@ -1,12 +1,41 @@
 """Object-level reference implementations, kept as test oracles.
 
 These are the straightforward versions of the kernels in
-``kzero.series`` and ``kzero.surface``: every step builds and multiplies
-``K0Class`` objects.  The library computes the same values on plain
-integer (rank, degree) pairs; the tests require exact agreement.
+``kzero.series``, ``kzero.bundle`` and ``kzero.surface``: every step
+builds and multiplies ``K0Class`` objects.  The library computes the
+same values on plain integer (rank, degree) pairs; the tests require
+exact agreement.
 """
 
-from kzero import K0Class, LaurentPoly, TruncatedSeries, euler_form_base
+from kzero import BundleClass, K0Class, LaurentPoly, TruncatedSeries, euler_form_base
+
+
+def poly_mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
+    """Schoolbook product: every term of p times every term of q."""
+    out = {}
+    for e1, c1 in p.terms():
+        for e2, c2 in q.terms():
+            e = e1 + e2
+            out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+    return LaurentPoly(p.base, out)
+
+
+def reduce_poly(p: LaurentPoly, spec) -> BundleClass:
+    """Clear the lowest negative exponent, then the highest above n, one at a time.
+
+    Each step subtracts a whole shifted multiple of the relation and
+    builds a new polynomial.
+    """
+    rel = spec.relation_poly()
+    top = spec.n + 1
+    lead_inv = rel.coeff(top).inverse()
+    while not p.is_zero() and p.min_exp() < 0:
+        e = p.min_exp()
+        p = p - rel.shift(e) * p.coeff(e)
+    while not p.is_zero() and p.max_exp() > spec.n:
+        e = p.max_exp()
+        p = p - rel.shift(e - top) * (p.coeff(e) * lead_inv)
+    return BundleClass(spec, tuple(p.coeff(i) for i in range(spec.n + 1)))
 
 
 def hilbert_recursion(E: K0Class, Q: K0Class, n: int) -> K0Class:
@@ -20,11 +49,12 @@ def hilbert_recursion(E: K0Class, Q: K0Class, n: int) -> K0Class:
 
 
 def pushforward(surface, c) -> K0Class:
-    """sum_i c_i * (B_{-i} - dual(B_{i-2})), one term at a time."""
+    """sum_i c_i * (B_{-i} - dual(B_{i-2}) * Q^-1), one term at a time."""
+    q_inv = surface.Q.inverse()
     total = surface.base.zero
     for i, coeff in c.rep.terms():
         b = hilbert_recursion(surface.E, surface.Q, -i)
-        r1 = hilbert_recursion(surface.E, surface.Q, i - 2).dual()
+        r1 = hilbert_recursion(surface.E, surface.Q, i - 2).dual() * q_inv
         total = total + coeff * (b - r1)
     return total
 
@@ -32,11 +62,12 @@ def pushforward(surface, c) -> K0Class:
 def euler_form(surface, a, b) -> int:
     """The pairing summed over every term pair (i, j) of the two classes."""
     E, Q = surface.E, surface.Q
+    q_inv = Q.inverse()
     total = 0
     for i, ai in a.rep.terms():
         for j, bj in b.rep.terms():
-            push = bj * hilbert_recursion(E, Q, i - j) - bj * hilbert_recursion(E, Q, j - i - 2).dual()
-            total += euler_form_base(ai, push)
+            r1 = hilbert_recursion(E, Q, j - i - 2).dual() * q_inv
+            total += euler_form_base(ai, bj * hilbert_recursion(E, Q, i - j) - bj * r1)
     return total
 
 

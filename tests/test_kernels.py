@@ -2,9 +2,8 @@
 
 ``reference.py`` holds the plain versions that build a ``K0Class`` at
 every step.  The library must agree with them exactly, including on
-pairings whose term pairs reach j - i >= 2, where the pairing has a
-known fault (the R^1 f_* term lacks a Q^-1 twist) that must stay as it
-is until it is mended on its own.
+pairings whose term pairs reach j - i >= 2, where the R^1 f_* term (the
+dual of B_{j-i-2} twisted by Q^-1) enters.
 """
 
 import math

@@ -66,10 +66,11 @@ def test_pushforward_of_twists():
     for n in range(0, 7):
         assert s.structure_class(n).pushforward() == s.hilbert_coeff(n)
     assert s.structure_class(-1).pushforward() == s.base.zero
-    assert s.structure_class(-2).pushforward() == -s.base.one
-    # n = -3 hits the derived part: minus the dual of B_1
-    assert s.structure_class(-3).pushforward() == -s.E.dual()
-    assert s.structure_class(-4).pushforward() == -s.hilbert_coeff(2).dual()
+    # n <= -2 hits the derived part: minus the dual of B_{-n-2}, twisted by Q^-1
+    q_inv = s.Q.inverse()
+    assert s.structure_class(-2).pushforward() == -q_inv
+    assert s.structure_class(-3).pushforward() == -(s.E.dual() * q_inv)
+    assert s.structure_class(-4).pushforward() == -(s.hilbert_coeff(2).dual() * q_inv)
 
 
 def test_pushforward_is_additive():
