@@ -26,7 +26,6 @@ from .bundle import (
     group_structure,
     pullback,
     reduce_poly,
-    relation_poly,
     rho_of,
     twist,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "PnBundleSpec",
     "BundleClass",
     "GroupStructure",
-    "relation_poly",
     "reduce_poly",
     "pullback",
     "twist",

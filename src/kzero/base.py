@@ -123,10 +123,7 @@ class K0Class:
             return K0Class(self.base, other * self.rank, other * self.degree)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return K0Class(self.base, other * self.rank, other * self.degree)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def dual(self) -> K0Class:
         """Class of the dual: the rank survives and the degree flips sign."""

@@ -68,10 +68,6 @@ class PnBundleSpec:
         )
 
 
-def relation_poly(spec: PnBundleSpec) -> LaurentPoly:
-    return spec.relation_poly()
-
-
 @dataclass(frozen=True)
 class BundleClass:
     """Normal form of a Grothendieck class: coefficients of 1, T, ..., T^n."""
@@ -105,9 +101,7 @@ class BundleClass:
     def __sub__(self, other: BundleClass) -> BundleClass:
         if not isinstance(other, BundleClass):
             return NotImplemented
-        if self.spec != other.spec:
-            raise BaseMismatch("classes belong to different bundle specs")
-        return BundleClass(self.spec, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + (-other)
 
     def __neg__(self) -> BundleClass:
         return BundleClass(self.spec, tuple(-c for c in self.coeffs))
@@ -133,13 +127,11 @@ def reduce_poly(p: LaurentPoly, spec: PnBundleSpec) -> BundleClass:
     if p.base != spec.base:
         raise BaseMismatch(f"polynomial over {p.base!r}, spec over {spec.base!r}")
     top = spec.n + 1
-    _, rel_r, rel_d = spec.relation_poly()._arrays()
-    lo, pr, pd = p._arrays()
+    rel = spec.relation_poly()
+    rel_r, rel_d, lo, pr, pd = rel.ranks, rel.degrees, p.lo, p.ranks, p.degrees
     start = min(lo, 0)
-    size = max(lo + len(pr), top) - start
-    ranks, degrees = [0] * size, [0] * size
-    ranks[lo - start : lo - start + len(pr)] = pr
-    degrees[lo - start : lo - start + len(pd)] = pd
+    pad, tail = [0] * (lo - start), [0] * (top - lo - len(pr))
+    ranks, degrees = pad + pr + tail, pad + pd + tail
     # ranks[i], degrees[i] hold the coefficient of T^(start + i)
     for i in range(-start):
         r, d = ranks[i], degrees[i]
@@ -148,7 +140,7 @@ def reduce_poly(p: LaurentPoly, spec: PnBundleSpec) -> BundleClass:
                 ranks[i + q] -= r * rel_r[q]
                 degrees[i + q] -= r * rel_d[q] + d * rel_r[q]
     lead_r, lead_d = rel_r[top], rel_d[top]
-    for i in range(size - 1, top - start - 1, -1):
+    for i in range(len(ranks) - 1, top - start - 1, -1):
         r, d = ranks[i], degrees[i]
         if r or d:
             mr, md = r * lead_r, d * lead_r - r * lead_d
@@ -177,8 +169,6 @@ def rho_of(f: K0Class, spec: PnBundleSpec) -> LaurentPoly:
     A class supported on the base generates the ideal element
     f * relation; in particular the identity maps to the relation itself.
     """
-    if f.base != spec.base:
-        raise BaseMismatch(f"class over {f.base!r}, spec over {spec.base!r}")
     return spec.relation_poly() * f
 
 

@@ -19,6 +19,10 @@ conflict the JSON document wins.  Every integer in an emitted report is
 a decimal string, so arbitrary-precision values survive consumers that
 parse JSON numbers as doubles.
 
+``kzero verify`` sweeps genera 0..GMAX and degrees -DMAX..DMAX (default
+5,5); a negative bound, or a grid of more than MAX_GRID_SURFACES = 100000
+surfaces, (GMAX+1)*(2*DMAX+1)^2, is a validation error.
+
 Exit codes: 0 success; 1 usage, parse or validation error, or standard
 output closed before the whole report was written; 2 verification
 failure; 3 internal error (a consistency check inside kzero failed,
@@ -44,6 +48,7 @@ from . import verify as verify_mod
 SCHEMA_VERSION = 1
 DEFAULT_SERIES_ORDER = 32
 MAX_SERIES_ORDER = 100_000
+MAX_GRID_SURFACES = 100_000
 MODES = ("ruled", "pnbundle", "point")
 
 
@@ -313,13 +318,15 @@ def _cmd_run(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    gmax, dmax = 5, 5
-    if args.grid is not None:
-        bits = args.grid.split(",")
-        if len(bits) != 2:
-            raise ParseError("--grid expects GMAX,DMAX")
-        gmax = _as_int(bits[0], "GMAX")
-        dmax = _as_int(bits[1], "DMAX")
+    bits = args.grid.split(",")
+    if len(bits) != 2:
+        raise ParseError("--grid expects GMAX,DMAX")
+    gmax = _as_int(bits[0], "GMAX")
+    dmax = _as_int(bits[1], "DMAX")
+    if gmax < 0 or dmax < 0:
+        raise ValidationError("--grid bounds GMAX and DMAX must be >= 0")
+    if (gmax + 1) * (2 * dmax + 1) ** 2 > MAX_GRID_SURFACES:
+        raise ValidationError(f"--grid {gmax},{dmax} holds more than {MAX_GRID_SURFACES} surfaces")
     results = verify_mod.run_all(gmax=gmax, dmax=dmax)
     total_failed = 0
     for res in results:
@@ -355,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--relation", help="comma-separated integer coefficients for point mode")
 
     verp = sub.add_parser("verify", help="run the built-in property grids")
-    verp.add_argument("--grid", metavar="GMAX,DMAX", help="genus and degree bounds (default 5,5)")
+    verp.add_argument("--grid", default="5,5", metavar="GMAX,DMAX", help="genus and degree bounds (default 5,5)")
     return parser
 
 

@@ -6,17 +6,19 @@ coefficients; Hilbert series of graded algebras live in the matching
 power-series ring.  This module provides both, plus truncated series
 inversion and the Hilbert pieces of a ruled quotient algebra.
 
-The kernels run on plain integer lists: a class is r + eps*d with
-eps^2 = 0, so a polynomial is a lowest exponent plus dense lists of
-ranks and degrees (``LaurentPoly._arrays``), and ``K0Class`` objects are
-built only for the coefficients of a result.  Products of polynomials
-go through one big-integer multiplication per list pair (Kronecker
-substitution); series inversion and truncated products convolve the
-lists directly.
+A class is r + eps*d with eps^2 = 0, so both types store integer lists
+only: a polynomial is a lowest exponent ``lo`` plus dense ``ranks`` and
+``degrees``, a series the ranks and degrees of c_0 .. c_N.  The kernels
+work on these lists; ``K0Class`` objects are built only for callers who
+ask for coefficients (``terms()``, ``coeff()``, ``coeffs``) or a
+``repr``.  Products of polynomials go through one big-integer
+multiplication per list pair (Kronecker substitution); series inversion
+and truncated products convolve the lists directly.
 """
 
 from __future__ import annotations
 
+from itertools import count
 from math import comb
 
 from .base import BaseSpace, K0Class
@@ -32,98 +34,103 @@ from .errors import (
 class LaurentPoly:
     """Finitely supported polynomial in T and T^-1 with K0Class coefficients.
 
-    Zero coefficients are never stored, so ``==`` is structural equality.
-    Instances are immutable; every operation returns a fresh polynomial.
+    The coefficient of T^(lo+i) is (ranks[i], degrees[i]).  The lists are
+    trimmed to nonzero end coefficients and zero is (0, [], []), so ``==``
+    is structural equality.  Memory and time grow with the exponent span,
+    not the number of terms.  Instances are immutable.
     """
 
-    __slots__ = ("base", "_terms")
+    __slots__ = ("base", "lo", "ranks", "degrees")
 
     def __init__(self, base: BaseSpace, terms=()):
-        data: dict[int, K0Class] = {}
-        items = terms.items() if hasattr(terms, "items") else terms
+        items = list(terms.items() if hasattr(terms, "items") else terms)
         for exp, coeff in items:
             if not isinstance(exp, int):
                 raise ValidationError(f"exponent {exp!r} is not an integer")
             if coeff.base != base:
                 raise BaseMismatch(f"coefficient base {coeff.base!r} != {base!r}")
-            data[exp] = data[exp] + coeff if exp in data else coeff
-        self.base = base
-        self._terms = {e: c for e, c in data.items() if not c.is_zero()}
+        exps = [exp for exp, _ in items] or [0]
+        lo = min(exps)
+        size = max(exps) - lo + 1
+        ranks, degrees = [0] * size, [0] * size
+        for exp, coeff in items:
+            ranks[exp - lo] += coeff.rank
+            degrees[exp - lo] += coeff.degree
+        self._store(base, lo, ranks, degrees)
+
+    @classmethod
+    def _dense(cls, base: BaseSpace, lo: int, ranks: list[int], degrees: list[int]) -> LaurentPoly:
+        """The polynomial sum (ranks[i], degrees[i]) T^(lo+i), trimmed by ``_store``."""
+        p = cls.__new__(cls)
+        p._store(base, lo, ranks, degrees)
+        return p
+
+    def _store(self, base: BaseSpace, lo: int, ranks: list[int], degrees: list[int]) -> None:
+        start, end = 0, len(ranks)
+        while start < end and not (ranks[start] or degrees[start]):
+            start += 1
+        while end > start and not (ranks[end - 1] or degrees[end - 1]):
+            end -= 1
+        self.base, self.lo = base, lo + start if start < end else 0
+        self.ranks, self.degrees = ranks[start:end], degrees[start:end]
 
     @classmethod
     def zero(cls, base: BaseSpace) -> LaurentPoly:
-        return cls(base)
+        return cls._dense(base, 0, [], [])
 
     @classmethod
     def one(cls, base: BaseSpace) -> LaurentPoly:
-        return cls(base, {0: base.one})
+        return cls._dense(base, 0, [1], [0])
 
     @classmethod
     def monomial(cls, coeff: K0Class, exp: int = 0) -> LaurentPoly:
         return cls(coeff.base, {exp: coeff})
 
     @classmethod
-    def from_coeffs(cls, base: BaseSpace, coeffs, start: int = 0) -> LaurentPoly:
-        return cls(base, {start + i: c for i, c in enumerate(coeffs)})
-
-    @classmethod
     def from_int_coeffs(cls, base: BaseSpace, ints, start: int = 0) -> LaurentPoly:
         """Polynomial with pure rank coefficients (c, 0)."""
-        return cls(base, {start + i: base.k0(int(c)) for i, c in enumerate(ints)})
+        ranks = [int(c) for c in ints]
+        return cls._dense(base, 0, ranks, [0] * len(ranks)).shift(start)
 
     def terms(self):
         """Pairs (exponent, coefficient) in increasing exponent order."""
-        return tuple(sorted(self._terms.items()))
+        k0 = self.base.k0
+        return tuple((e, k0(r, d)) for e, r, d in zip(count(self.lo), self.ranks, self.degrees) if r or d)
 
     def coeff(self, exp: int) -> K0Class:
-        return self._terms.get(exp, self.base.zero)
+        i = exp - self.lo
+        return self.base.k0(self.ranks[i], self.degrees[i]) if 0 <= i < len(self.ranks) else self.base.zero
 
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._terms))
+        return tuple(e for e, r, d in zip(count(self.lo), self.ranks, self.degrees) if r or d)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self.ranks
 
     def min_exp(self) -> int:
-        if not self._terms:
+        if not self.ranks:
             raise ValueError("the zero polynomial has no support")
-        return min(self._terms)
+        return self.lo
 
     def max_exp(self) -> int:
-        if not self._terms:
-            raise ValueError("the zero polynomial has no support")
-        return max(self._terms)
+        return self.min_exp() + len(self.ranks) - 1
 
-    def _arrays(self) -> tuple[int, list[int], list[int]]:
-        """(lo, ranks, degrees): dense lists over the exponents lo .. max_exp; (0, [], []) for 0."""
-        if not self._terms:
-            return 0, [], []
-        lo, hi = min(self._terms), max(self._terms)
-        ranks, degrees = [0] * (hi - lo + 1), [0] * (hi - lo + 1)
-        for e, c in self._terms.items():
-            ranks[e - lo], degrees[e - lo] = c.rank, c.degree
-        return lo, ranks, degrees
-
-    @classmethod
-    def _from_arrays(cls, base: BaseSpace, lo: int, ranks, degrees) -> LaurentPoly:
-        """The polynomial sum (ranks[i], degrees[i]) T^(lo+i); zero coefficients are skipped."""
-        p = cls.__new__(cls)
-        p.base = base
-        p._terms = {lo + i: K0Class(base, r, d) for i, (r, d) in enumerate(zip(ranks, degrees)) if r or d}
-        return p
-
-    def _require_same_base(self, other: LaurentPoly) -> None:
-        if self.base != other.base:
-            raise BaseMismatch(f"mixed bases {self.base!r} and {other.base!r}")
+    _require_same_base = K0Class._require_same_base
 
     def __add__(self, other: LaurentPoly) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._require_same_base(other)
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            out[e] = out[e] + c if e in out else c
-        return LaurentPoly(self.base, out)
+        if not self.ranks or not other.ranks:
+            return other if not self.ranks else self
+        lo = min(self.lo, other.lo)
+        size = max(self.lo + len(self.ranks), other.lo + len(other.ranks)) - lo
+        ranks, degrees = [0] * size, [0] * size
+        for p in (self, other):
+            for i, r, d in zip(count(p.lo - lo), p.ranks, p.degrees):
+                ranks[i] += r
+                degrees[i] += d
+        return LaurentPoly._dense(self.base, lo, ranks, degrees)
 
     def __sub__(self, other: LaurentPoly) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
@@ -131,67 +138,58 @@ class LaurentPoly:
         return self + (-other)
 
     def __neg__(self) -> LaurentPoly:
-        return LaurentPoly(self.base, {e: -c for e, c in self._terms.items()})
+        return self * -1
 
     def __mul__(self, other):
         """Product with a polynomial, a class or an integer.
 
-        Two polynomials multiply on their dense arrays: ranks ra*rb and
-        degrees ra*db + da*rb, three integer convolutions by Kronecker
+        Two polynomials multiply on their lists: ranks ra*rb and degrees
+        ra*db + da*rb, three integer convolutions by Kronecker
         substitution.  The cost grows with the exponent spans, not with
         the number of terms, so (1 + T^k)^2 takes time and memory linear
-        in k.
+        in k.  A class (r, d) scales every coefficient; an integer k
+        acts as the class (k, 0).
         """
         if isinstance(other, LaurentPoly):
             self._require_same_base(other)
-            if not self._terms or not other._terms:
-                return LaurentPoly(self.base)
-            lo1, ra, da = self._arrays()
-            lo2, rb, db = other._arrays()
+            ra, da, rb, db = self.ranks, self.degrees, other.ranks, other.degrees
             degrees = [x + y for x, y in zip(_convolve(ra, db), _convolve(da, rb))]
-            return LaurentPoly._from_arrays(self.base, lo1 + lo2, _convolve(ra, rb), degrees)
+            return LaurentPoly._dense(self.base, self.lo + other.lo, _convolve(ra, rb), degrees)
         if isinstance(other, K0Class):
-            return LaurentPoly(self.base, {e: c * other for e, c in self._terms.items()})
-        if isinstance(other, int):
-            return LaurentPoly(self.base, {e: c * other for e, c in self._terms.items()})
-        return NotImplemented
+            self._require_same_base(other)
+            r, d = other.rank, other.degree
+        elif isinstance(other, int):
+            r, d = other, 0
+        else:
+            return NotImplemented
+        degrees = [r * y + d * x for x, y in zip(self.ranks, self.degrees)]
+        return LaurentPoly._dense(self.base, self.lo, [r * x for x in self.ranks], degrees)
 
-    def __rmul__(self, other):
-        if isinstance(other, (K0Class, int)):
-            return self.__mul__(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def shift(self, k: int) -> LaurentPoly:
         """Multiply by T^k."""
-        return LaurentPoly(self.base, {e + k: c for e, c in self._terms.items()})
+        if not isinstance(k, int):
+            raise ValidationError(f"exponent {k!r} is not an integer")
+        return LaurentPoly._dense(self.base, self.lo + k, self.ranks, self.degrees)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.base == other.base and self._terms == other._terms
+        return (self.base, self.lo, self.ranks, self.degrees) == (other.base, other.lo, other.ranks, other.degrees)
 
     def __hash__(self):
-        return hash((self.base, frozenset(self._terms.items())))
+        return hash((self.base, self.lo, tuple(self.ranks), tuple(self.degrees)))
 
     def __repr__(self):
-        if not self._terms:
-            return "0"
-        parts = []
-        for e, c in sorted(self._terms.items()):
-            if e == 0:
-                mono = f"{c!r}"
-            elif e == 1:
-                mono = f"{c!r}*T"
-            else:
-                mono = f"{c!r}*T^{e}"
-            parts.append(mono)
-        return " + ".join(parts)
+        monomials = (f"{c!r}" if e == 0 else f"{c!r}*T" if e == 1 else f"{c!r}*T^{e}" for e, c in self.terms())
+        return " + ".join(monomials) or "0"
 
 
 class TruncatedSeries:
-    """Coefficients c_0 .. c_N of a power series, modulo T^(N+1)."""
+    """Coefficients c_0 .. c_N of a power series, modulo T^(N+1), stored as rank and degree tuples."""
 
-    __slots__ = ("base", "coeffs")
+    __slots__ = ("base", "_ranks", "_degrees")
 
     def __init__(self, base: BaseSpace, coeffs):
         coeffs = tuple(coeffs)
@@ -201,26 +199,34 @@ class TruncatedSeries:
             if c.base != base:
                 raise BaseMismatch(f"coefficient base {c.base!r} != {base!r}")
         self.base = base
-        self.coeffs = coeffs
+        self._ranks = tuple(c.rank for c in coeffs)
+        self._degrees = tuple(c.degree for c in coeffs)
+
+    @classmethod
+    def _dense(cls, base: BaseSpace, ranks, degrees) -> TruncatedSeries:
+        s = cls.__new__(cls)
+        s.base, s._ranks, s._degrees = base, tuple(ranks), tuple(degrees)
+        return s
 
     @classmethod
     def one(cls, base: BaseSpace, order: int) -> TruncatedSeries:
-        return cls(base, [base.one] + [base.zero] * order)
+        return cls._dense(base, [1] + [0] * order, [0] + [0] * order)
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._ranks) - 1
+
+    @property
+    def coeffs(self) -> tuple[K0Class, ...]:
+        return tuple(map(self.base.k0, self._ranks, self._degrees))
 
     def coeff(self, i: int) -> K0Class:
         if not 0 <= i <= self.order:
             raise IndexError(f"coefficient {i} outside truncation order {self.order}")
-        return self.coeffs[i]
+        return self.base.k0(self._ranks[i], self._degrees[i])
 
     def ranks(self) -> tuple[int, ...]:
-        return tuple(c.rank for c in self.coeffs)
-
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(c.degree for c in self.coeffs)
+        return self._ranks
 
     def mul_poly(self, p: LaurentPoly) -> TruncatedSeries:
         """Product with a polynomial, truncated to the same order.
@@ -229,27 +235,25 @@ class TruncatedSeries:
         coefficients of the product would depend on coefficients beyond
         the truncation.
         """
-        if p.base != self.base:
-            raise BaseMismatch(f"mixed bases {p.base!r} and {self.base!r}")
-        if not p.is_zero() and p.min_exp() < 0:
+        p._require_same_base(self)
+        if p.lo < 0:
             raise NegativeExponent("cannot multiply a truncated series by T^-k terms")
-        ranks, degrees = self.ranks(), self.degrees()
+        ranks, degrees = self._ranks, self._degrees
         out_r, out_d = [0] * len(ranks), [0] * len(ranks)
-        for e, c in p.terms():
-            cr, cd = c.rank, c.degree
+        for e, cr, cd in zip(range(p.lo, len(ranks)), p.ranks, p.degrees):
             for n in range(e, len(ranks)):
                 r = ranks[n - e]
                 out_r[n] += cr * r
                 out_d[n] += cr * degrees[n - e] + cd * r
-        return TruncatedSeries(self.base, map(self.base.k0, out_r, out_d))
+        return TruncatedSeries._dense(self.base, out_r, out_d)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.base == other.base and self.coeffs == other.coeffs
+        return (self.base, self._ranks, self._degrees) == (other.base, other._ranks, other._degrees)
 
     def __hash__(self):
-        return hash((self.base, self.coeffs))
+        return hash((self.base, self._ranks, self._degrees))
 
     def __repr__(self):
         return "[" + ", ".join(repr(c) for c in self.coeffs) + f"] + O(T^{self.order + 1})"
@@ -266,7 +270,7 @@ def series_invert(p: LaurentPoly, order: int) -> TruncatedSeries:
     """
     if order < 0:
         raise ValidationError("truncation order must be >= 0")
-    lo, pr, pd = p._arrays()
+    lo, pr, pd = p.lo, p.ranks, p.degrees
     if lo < 0:
         raise NegativeExponent("only power series (no T^-k terms) can be inverted")
     if lo > 0 or not pr or pr[0] not in (1, -1):
@@ -283,11 +287,11 @@ def series_invert(p: LaurentPoly, order: int) -> TruncatedSeries:
             acc_d += pr[k] * bd[n - k] + pd[k] * r
         br.append(-r0 * acc_r)
         bd.append(d0 * acc_r - r0 * acc_d)
-    return TruncatedSeries(p.base, map(p.base.k0, br, bd))
+    return TruncatedSeries._dense(p.base, br, bd)
 
 
 def _convolve(a: list[int], b: list[int]) -> list[int]:
-    """The coefficient list of (sum a_i x^i)(sum b_j x^j), for nonempty lists.
+    """The coefficient list of (sum a_i x^i)(sum b_j x^j); zeros if a list is empty.
 
     Kronecker substitution: each list is packed into one integer with
     k-byte slots at x = 256^k and the two integers are multiplied once.
@@ -297,7 +301,7 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
     bytes are split apart.
     """
     n = len(a) + len(b) - 1
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    bound = max(map(abs, a), default=0) * max(map(abs, b), default=0) * min(len(a), len(b))
     if not bound:
         return [0] * n
     k = bound.bit_length() // 8 + 1
@@ -316,8 +320,7 @@ def _pack(xs: list[int], k: int) -> int:
 
 
 def _check_ruled_pair(E: K0Class, Q: K0Class) -> None:
-    if E.base != Q.base:
-        raise BaseMismatch(f"mixed bases {E.base!r} and {Q.base!r}")
+    E._require_same_base(Q)
     if E.rank != 2:
         raise RankConstraintViolation(f"rank(E) must be 2, got {E.rank}")
     if Q.rank != 1:

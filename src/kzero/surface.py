@@ -9,23 +9,25 @@ pullback from the curve twisted by -i.
 
 The Euler pairing of two surface classes is evaluated by pushing the
 second argument down to the curve.  Twisting both arguments by the same
-amount is an auto-equivalence, so only the relative twist matters, and
-the derived pushforward of a twisted pullback is controlled by the
-graded pieces B_n of the homogeneous coordinate ring: the direct image
-contributes B_n, the first derived image contributes the dual of
-B_{-2-n} twisted by Q^-1 (nothing survives at n = -1).  Concretely
+amount is an auto-equivalence, so only the relative twist matters.  Let
+P(m) be the class of Rf_* O(-m): P(m) = B_{-m}, the graded pieces of the
+homogeneous coordinate ring, for m <= 0, and P(1) = 0.  The relation
+forces P(k) - E*P(k+1) + Q*P(k+2) = 0, so R^1 f_* O(-m) = Q^(1-m)*B_{m-2}
+for m >= 2, and
 
-    (a T^i, b T^j)  =  euler_form_base(a, b*B_{i-j} - b*dual(B_{j-i-2})*Q^-1)
+    (a T^i, b T^j)  =  euler_form_base(a, b*B_{i-j} - b*Q^(i-j+1)*B_{j-i-2})
 
 extended biadditively, with B_k = 0 for k < 0.  By the closed form
 B_n = (n+1, deg E*C(n+2,3) - deg Q*C(n+1,3)) for n >= 0, each term pair
 costs O(1): a few integer multiplications on (rank, degree) pairs.
 
-When deg Q = deg E the surface is numerically the commutative ruled
-surface P(E) with Q = det E: the pairing is the Riemann-Roch pairing and
-vanishes on the relation ideal from both sides.  When deg Q != deg E it
-does not vanish on the ideal in general, so pairings can depend on the
-representative of a class.
+So the pushforward is well defined on K0, and the pairing vanishes on the
+relation ideal in its second argument.  When deg Q = deg E the surface is
+numerically the commutative P(E) with Q = det E: R^1 f_* O(-m) is the
+Serre dual dual(B_{m-2})*Q^-1, and the pairing is the Riemann-Roch
+pairing, zero on the ideal from both sides.  Otherwise it can depend on
+the representative of its first argument, so it is the Euler form of K0
+only on that locus.
 
 Intersection numbers of curve-like (total rank zero) classes are the
 negated Euler pairing.  On the rank-zero part of the lattice, the
@@ -39,12 +41,13 @@ numerical invariant of a ruled surface.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 from .base import K0Class, curve
 from .bundle import PnBundleSpec
-from .errors import BaseMismatch, InvariantViolation, RankConstraintViolation
+from .errors import BaseMismatch, InvariantViolation
 from .intlinalg import integer_kernel
-from .series import LaurentPoly, hilbert_coeff_ruled, ruled_piece
+from .series import LaurentPoly, _check_ruled_pair, hilbert_coeff_ruled, ruled_piece
 
 
 @dataclass(frozen=True)
@@ -60,13 +63,9 @@ class RuledSurface:
     Q: K0Class
 
     def __post_init__(self):
-        base = curve(self.genus)
-        if self.E.base != base or self.Q.base != base:
-            raise BaseMismatch(f"E and Q must live over {base!r}")
-        if self.E.rank != 2:
-            raise RankConstraintViolation(f"rank(E) must be 2, got {self.E.rank}")
-        if self.Q.rank != 1:
-            raise RankConstraintViolation(f"rank(Q) must be 1, got {self.Q.rank}")
+        if self.E.base != curve(self.genus):
+            raise BaseMismatch(f"E and Q must live over {curve(self.genus)!r}")
+        _check_ruled_pair(self.E, self.Q)
 
     @classmethod
     def from_degrees(cls, genus: int, deg_e: int, deg_q: int) -> RuledSurface:
@@ -114,34 +113,34 @@ class RuledSurface:
     def pushforward(self, c: SurfaceClass) -> K0Class:
         """K-theoretic derived pushforward to the curve, [f_*] - [R^1 f_*]."""
         self._require_own(c)
-        return self.base.k0(*self._push(c.rep.terms(), 0))
+        return self.base.k0(*self._push(c.rep, 0))
 
     def euler_form(self, a: SurfaceClass, b: SurfaceClass) -> int:
         """Alternating sum of Ext dimensions between two surface classes."""
         self._require_own(a)
         self._require_own(b)
-        b_terms, g1 = b.rep.terms(), 1 - self.genus
+        g1 = 1 - self.genus
         total = 0
-        for i, ai in a.rep.terms():
-            # euler_form_base(ai, push of b twisted by i), on integers
-            r, d = self._push(b_terms, i)
-            total += g1 * ai.rank * r + ai.rank * d - ai.degree * r
+        for i, ar, ad in zip(count(a.rep.lo), a.rep.ranks, a.rep.degrees):
+            # euler_form_base((ar, ad), push of b twisted by i), on integers
+            r, d = self._push(b.rep, i)
+            total += g1 * ar * r + ar * d - ad * r
         return total
 
-    def _push(self, terms, shift: int) -> tuple[int, int]:
+    def _push(self, p: LaurentPoly, shift: int) -> tuple[int, int]:
         """(rank, degree) pushed down from sum_j c_j T^(j - shift).
 
-        T^-m goes to B_m - dual(B_{-m-2}) * Q^-1, where dual(B_k) * Q^-1 =
-        (k+1, -deg B_k - (k+1) deg Q).
+        T^m goes to P(m) = B_{-m} - Q^-(m-1) * B_{m-2}, where
+        Q^-(m-1) * B_{m-2} = (m-1, deg B_{m-2} - (m-1)^2 deg Q).
         """
         de, dq = self.E.degree, self.Q.degree
         rank = degree = 0
-        for j, c in terms:
-            br, bd = ruled_piece(de, dq, shift - j)
-            kr, kd = ruled_piece(de, dq, j - shift - 2)
-            xr, xd = br - kr, bd + kd + kr * dq
-            rank += c.rank * xr
-            degree += c.rank * xd + c.degree * xr
+        for m, cr, cd in zip(count(p.lo - shift), p.ranks, p.degrees):
+            br, bd = ruled_piece(de, dq, -m)
+            kr, kd = ruled_piece(de, dq, m - 2)
+            xr, xd = br - kr, bd - kd + kr * kr * dq
+            rank += cr * xr
+            degree += cr * xd + cd * xr
         return rank, degree
 
     def intersect(self, a: SurfaceClass, b: SurfaceClass) -> int:
@@ -192,9 +191,9 @@ class SurfaceClass:
 
     ``rep`` is a Laurent polynomial whose exponent-i coefficient is the
     class of a pullback from the curve twisted by -i.  Representatives are
-    not normalized modulo the relation ideal.  Pairings do not depend on
-    the choice when deg Q = deg E; when deg Q != deg E they can, and no
-    independent formula is known to check them against.
+    not normalized modulo the relation ideal.  The pushforward, and a
+    pairing's second argument, do not depend on the choice; a pairing's
+    first argument does not when deg Q = deg E, but in general it can.
     """
 
     surface: RuledSurface
@@ -209,7 +208,7 @@ class SurfaceClass:
 
     def rank(self) -> int:
         """Total rank: the sum of the ranks of all coefficients."""
-        return sum(c.rank for _, c in self.rep.terms())
+        return sum(self.rep.ranks)
 
     def twist(self, k: int) -> SurfaceClass:
         """Degree shift M -> M(-k)."""
@@ -218,21 +217,16 @@ class SurfaceClass:
     def pushforward(self) -> K0Class:
         return self.surface.pushforward(self)
 
-    def _require_same_surface(self, other: SurfaceClass) -> None:
-        if self.surface != other.surface:
-            raise BaseMismatch("classes belong to different surfaces")
-
     def __add__(self, other: SurfaceClass) -> SurfaceClass:
         if not isinstance(other, SurfaceClass):
             return NotImplemented
-        self._require_same_surface(other)
+        self.surface._require_own(other)
         return SurfaceClass(self.surface, self.rep + other.rep)
 
     def __sub__(self, other: SurfaceClass) -> SurfaceClass:
         if not isinstance(other, SurfaceClass):
             return NotImplemented
-        self._require_same_surface(other)
-        return SurfaceClass(self.surface, self.rep - other.rep)
+        return self + (-other)
 
     def __neg__(self) -> SurfaceClass:
         return SurfaceClass(self.surface, -self.rep)

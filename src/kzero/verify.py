@@ -44,10 +44,6 @@ class SuiteResult:
             return
         self.check(ok, message)
 
-    @property
-    def ok(self) -> bool:
-        return self.failed == 0
-
 
 def _grid(gmax: int, dmax: int):
     for g in range(0, gmax + 1):

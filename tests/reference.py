@@ -48,26 +48,40 @@ def hilbert_recursion(E: K0Class, Q: K0Class, n: int) -> K0Class:
     return cur
 
 
+def pushforward_of_twist(E: K0Class, Q: K0Class, m: int) -> K0Class:
+    """P(m) = Rf_* O(-m), from the relation P(k) - E*P(k+1) + Q*P(k+2) = 0.
+
+    P(m) = B_{-m} for m <= 0 and P(1) = 0; above that the recurrence runs
+    forwards, P(k+2) = Q^-1 * (E*P(k+1) - P(k)).
+    """
+    if m <= 0:
+        return hilbert_recursion(E, Q, -m)
+    q_inv = Q.inverse()
+    prev, cur = E.base.one, E.base.zero
+    for _ in range(m - 1):
+        prev, cur = cur, q_inv * (E * cur - prev)
+    return cur
+
+
+def serre_dual_pushforward_of_twist(E: K0Class, Q: K0Class, m: int) -> K0Class:
+    """B_{-m} - dual(B_{m-2}) * Q^-1: the Serre-dual form, equal to P(m) only at deg Q = deg E."""
+    return hilbert_recursion(E, Q, -m) - hilbert_recursion(E, Q, m - 2).dual() * Q.inverse()
+
+
 def pushforward(surface, c) -> K0Class:
-    """sum_i c_i * (B_{-i} - dual(B_{i-2}) * Q^-1), one term at a time."""
-    q_inv = surface.Q.inverse()
+    """sum_i c_i * P(i), one term at a time."""
     total = surface.base.zero
     for i, coeff in c.rep.terms():
-        b = hilbert_recursion(surface.E, surface.Q, -i)
-        r1 = hilbert_recursion(surface.E, surface.Q, i - 2).dual() * q_inv
-        total = total + coeff * (b - r1)
+        total = total + coeff * pushforward_of_twist(surface.E, surface.Q, i)
     return total
 
 
 def euler_form(surface, a, b) -> int:
-    """The pairing summed over every term pair (i, j) of the two classes."""
-    E, Q = surface.E, surface.Q
-    q_inv = Q.inverse()
+    """sum over every term pair (i, j) of euler_form_base(a_i, b_j * P(j - i))."""
     total = 0
     for i, ai in a.rep.terms():
         for j, bj in b.rep.terms():
-            r1 = hilbert_recursion(E, Q, j - i - 2).dual() * q_inv
-            total += euler_form_base(ai, bj * hilbert_recursion(E, Q, i - j) - bj * r1)
+            total += euler_form_base(ai, bj * pushforward_of_twist(surface.E, surface.Q, j - i))
     return total
 
 

@@ -10,9 +10,11 @@ from pathlib import Path
 import pytest
 
 import kzero.surface
+import kzero.verify
 from kzero import InvariantViolation, RuledSurface
 from kzero.cli import (
     DEFAULT_SERIES_ORDER,
+    MAX_GRID_SURFACES,
     MAX_SERIES_ORDER,
     _check_rank_growth,
     jobspec_from_dict,
@@ -184,10 +186,25 @@ def test_verify_small_grid_passes(capsys):
     assert "verification passed" in out
 
 
-def test_verify_empty_grid_passes_trivially(capsys):
-    assert main(["verify", "--grid=-1,-1"]) == 0
-    out = capsys.readouterr().out
-    assert "passed=0 failed=0" in out
+def test_verify_rejects_negative_grid_bounds(capsys):
+    # a negative bound empties the surface grids, which used to pass with 0 checks
+    for grid in ("-1,-1", "0,-3", "-1,0"):
+        assert main(["verify", f"--grid={grid}"]) == 1
+        captured = capsys.readouterr()
+        assert "GMAX and DMAX must be >= 0" in captured.err and captured.out == ""
+
+
+def test_verify_grid_size_limit(monkeypatch, capsys):
+    assert MAX_GRID_SURFACES == 100_000
+    assert main(["verify", "--grid", "400,400"]) == 1
+    assert "more than 100000 surfaces" in capsys.readouterr().err
+    # (GMAX+1) * (2*DMAX+1)^2 surfaces: 4000 * 25 is exactly the limit
+    swept = []
+    monkeypatch.setattr(kzero.verify, "run_all", lambda gmax, dmax: swept.append((gmax, dmax)) or [])
+    assert main(["verify", "--grid", "3999,2"]) == 0
+    assert main(["verify", "--grid", "4000,2"]) == 1
+    assert main(["verify", "--grid", "0,158"]) == 1
+    assert swept == [(3999, 2)]
 
 
 def test_verify_catches_a_corrupted_euler_form(monkeypatch, capsys):

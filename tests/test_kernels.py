@@ -2,8 +2,10 @@
 
 ``reference.py`` holds the plain versions that build a ``K0Class`` at
 every step.  The library must agree with them exactly, including on
-pairings whose term pairs reach j - i >= 2, where the R^1 f_* term (the
-dual of B_{j-i-2} twisted by Q^-1) enters.
+pairings whose term pairs reach j - i >= 2, where the R^1 f_* term
+enters.  The pushforward oracle runs the relation's recurrence on
+classes; the Serre-dual form it replaced is kept as an oracle where the
+two agree, at deg Q = deg E.
 """
 
 import math
@@ -66,6 +68,25 @@ def test_euler_form_keeps_the_far_term_pair_values(surface, a_terms, b_terms, ga
     a, b = make_class(surface, a_terms), make_class(surface, b_terms)
     assert surface.euler_form(a, b) == reference.euler_form(surface, a, b)
     assert surface.euler_form(b, a) == reference.euler_form(surface, b, a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(GENUS, DEGREE, st.integers(-20, 20))
+def test_serre_dual_form_matches_the_recurrence_at_deg_q_equal_deg_e(genus, deg, m):
+    s = RuledSurface.from_degrees(genus, deg, deg)
+    p = reference.pushforward_of_twist(s.E, s.Q, m)
+    assert p == reference.serre_dual_pushforward_of_twist(s.E, s.Q, m)
+    assert s.class_of({m: s.base.one}).pushforward() == p
+
+
+@settings(max_examples=300, deadline=None)
+@given(surfaces(), class_terms(), st.integers(-8, 8), st.tuples(SMALL, SMALL))
+def test_pushforward_and_second_argument_kill_the_relation_ideal(surface, a_terms, k, c):
+    # c * T^k * (1 - E T + Q T^2), at every (g, deg E, deg Q)
+    x = surface.base
+    ideal = surface.class_of(surface.relation_poly().shift(k) * x.k0(*c))
+    assert ideal.pushforward() == x.zero
+    assert surface.euler_form(make_class(surface, a_terms), ideal) == 0
 
 
 def bases():

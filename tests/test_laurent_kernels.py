@@ -5,17 +5,20 @@
 the schoolbook product and the step-by-step reduction that build a
 ``K0Class`` at every step.  The library must agree with them exactly,
 over a point and over curves, with huge coefficients, sparse supports,
-negative exponents and factors whose ranks are all zero.
+negative exponents and factors whose ranks are all zero.  The last
+tests check the stored form itself: every result is trimmed, so
+equality and hashing are structural.
 """
 
 import math
 import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from kzero import LaurentPoly, PnBundleSpec, curve, point, reduce_poly
+from kzero import BaseMismatch, LaurentPoly, PnBundleSpec, TruncatedSeries, curve, point, reduce_poly
 
 BIG = st.sampled_from((2**64, -(2**64), 2**64 - 1, 10**60, -(10**60)))
 COEFF = st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70), BIG)
@@ -139,3 +142,73 @@ def test_reduce_is_congruent_and_idempotent(spec, data):
     nf = reduce_poly(p, spec)
     assert divide_by_relation(p - nf.as_poly(), spec) is not None
     assert reduce_poly(nf.as_poly(), spec) == nf
+
+
+# -- the stored form: lo plus trimmed rank and degree lists ----------------
+
+TINY = st.integers(-2, 2)
+
+
+def assert_trimmed(p):
+    """Two integer lists of one length, nonzero at both ends; zero is (0, [], [])."""
+    assert len(p.ranks) == len(p.degrees)
+    assert all(type(x) is int for x in p.ranks + p.degrees)
+    if p.base.is_point:
+        assert not any(p.degrees)
+    if p.ranks:
+        assert p.ranks[0] or p.degrees[0]
+        assert p.ranks[-1] or p.degrees[-1]
+    else:
+        assert (p.lo, p.ranks, p.degrees) == (0, [], [])
+
+
+@st.composite
+def small_pairs(draw):
+    # tiny coefficients on a narrow window, so sums and products cancel often
+    base = draw(bases())
+    return tuple(draw(polys(base, coeff=TINY, exponents=st.integers(-4, 4), max_terms=5)) for _ in range(2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_pairs(), TINY, TINY, st.integers(-2, 2), st.integers(-40, 40))
+def test_every_operation_returns_a_trimmed_polynomial(pair, r, d, k, s):
+    p, q = pair
+    c = p.base.k0(r, 0 if p.base.is_point else d)
+    for result in (p + q, p - q, -p, p * c, c * p, p * k, k * p, p * q, p.shift(s), p - p):
+        assert_trimmed(result)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_pairs())
+def test_equality_and_hash_are_structural(pair):
+    p, q = pair
+    zero = LaurentPoly.zero(p.base)
+    assert p - p == zero and hash(p - p) == hash(zero)
+    assert (p + q) - q == p and hash((p + q) - q) == hash(p)
+    rebuilt = LaurentPoly(p.base, p.terms())
+    assert rebuilt == p and hash(rebuilt) == hash(p)
+    assert p.support() == tuple(e for e, _ in p.terms())
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_pairs(), st.integers(0, 4))
+def test_scaling_by_a_class_over_another_base_is_rejected(pair, genus):
+    p, _ = pair
+    other = curve(genus + 1) if p.base == curve(genus) else curve(genus)
+    with pytest.raises(BaseMismatch):
+        p * other.one
+    with pytest.raises(BaseMismatch):
+        other.one * p
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3), st.lists(st.tuples(TINY, TINY), min_size=1, max_size=6), st.data())
+def test_series_equality_and_hash_follow_the_coefficients(genus, pairs, data):
+    x = curve(genus)
+    other = data.draw(st.one_of(st.just(pairs), st.lists(st.tuples(TINY, TINY), min_size=1, max_size=6)))
+    s = TruncatedSeries(x, [x.k0(r, d) for r, d in pairs])
+    t = TruncatedSeries(x, [x.k0(r, d) for r, d in other])
+    assert (s == t) == (s.coeffs == t.coeffs)
+    if s == t:
+        assert hash(s) == hash(t)
+    assert TruncatedSeries(x, s.coeffs) == s and s.ranks() == tuple(r for r, _ in pairs)
