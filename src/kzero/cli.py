@@ -37,6 +37,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 
 from .base import BaseSpace, curve, point
 from .bundle import PnBundleSpec, free_abelian_rank, group_structure
@@ -49,7 +50,6 @@ SCHEMA_VERSION = 1
 DEFAULT_SERIES_ORDER = 32
 MAX_SERIES_ORDER = 100_000
 MAX_GRID_SURFACES = 100_000
-MODES = ("ruled", "pnbundle", "point")
 
 
 # -- job specifications ----------------------------------------------
@@ -76,15 +76,36 @@ def _as_int(value, what: str) -> int:
     raise ParseError(f"{what} must be an integer or decimal string, got {type(value).__name__}")
 
 
-def _base_from_dict(doc, what: str = "base") -> BaseSpace:
+def _base_from_dict(doc) -> BaseSpace:
     if not isinstance(doc, dict) or "kind" not in doc:
-        raise ParseError(f"{what} must be an object with a 'kind' key")
+        raise ParseError("base must be an object with a 'kind' key")
     kind = doc["kind"]
     if kind == "point":
         return point()
     if kind == "curve":
-        return curve(_as_int(doc.get("genus", 0), f"{what}.genus"))
-    raise ParseError(f"{what}.kind must be 'point' or 'curve', got {kind!r}")
+        return curve(_as_int(doc.get("genus", 0), "base.genus"))
+    raise ParseError(f"base.kind must be 'point' or 'curve', got {kind!r}")
+
+
+def _pair(value, what: str) -> tuple[int, int]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ParseError(f"{what} must be a [rank, degree] pair")
+    return _as_int(value[0], f"{what}.rank"), _as_int(value[1], f"{what}.degree")
+
+
+def _list_of(read, value, what: str, nonempty: bool = False) -> tuple:
+    if not isinstance(value, list) or (nonempty and not value):
+        raise ParseError(f"{what} must be a {'nonempty ' * nonempty}list")
+    return tuple(read(v, f"{what}[{i}]") for i, v in enumerate(value))
+
+
+# mode -> {parameter: reader(value, what)}, in the order reports echo them
+PARAMETERS = {
+    "ruled": {"deg_e": _as_int, "deg_q": _as_int},
+    "pnbundle": {"n": _as_int, "koszul": partial(_list_of, _pair)},
+    "point": {"relation": partial(_list_of, _as_int, nonempty=True)},
+}
+MODES = tuple(PARAMETERS)
 
 
 def jobspec_from_dict(doc) -> JobSpec:
@@ -97,46 +118,20 @@ def jobspec_from_dict(doc) -> JobSpec:
     raw = doc.get("parameters", {})
     if not isinstance(raw, dict):
         raise ParseError("parameters must be an object")
-    if mode == "ruled":
-        for key in ("deg_e", "deg_q"):
-            if key not in raw:
-                raise ParseError(f"ruled mode needs parameter {key!r}")
-        params = {"deg_e": _as_int(raw["deg_e"], "deg_e"), "deg_q": _as_int(raw["deg_q"], "deg_q")}
-    elif mode == "pnbundle":
-        if "n" not in raw or "koszul" not in raw:
-            raise ParseError("pnbundle mode needs parameters 'n' and 'koszul'")
-        pairs = raw["koszul"]
-        if not isinstance(pairs, list):
-            raise ParseError("koszul must be a list of [rank, degree] pairs")
-        koszul = []
-        for idx, pair in enumerate(pairs):
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise ParseError(f"koszul[{idx}] must be a [rank, degree] pair")
-            koszul.append(
-                (_as_int(pair[0], f"koszul[{idx}].rank"), _as_int(pair[1], f"koszul[{idx}].degree"))
-            )
-        params = {"n": _as_int(raw["n"], "n"), "koszul": tuple(koszul)}
-    else:
-        if "relation" not in raw:
-            raise ParseError("point mode needs parameter 'relation'")
-        coeffs = raw["relation"]
-        if not isinstance(coeffs, list) or not coeffs:
-            raise ParseError("relation must be a nonempty list of integer coefficients")
-        params = {"relation": tuple(_as_int(c, f"relation[{i}]") for i, c in enumerate(coeffs))}
+    for key in PARAMETERS[mode]:
+        if key not in raw:
+            raise ParseError(f"{mode} mode needs parameter {key!r}")
+    params = {key: read(raw[key], key) for key, read in PARAMETERS[mode].items()}
     return JobSpec(mode, base, params, _as_int(doc.get("series_order", DEFAULT_SERIES_ORDER), "series_order"))
+
+
+def _echo(value):
+    return [_echo(v) for v in value] if isinstance(value, tuple) else str(value)
 
 
 def jobspec_to_dict(job: JobSpec) -> dict:
     base = {"kind": "point"} if job.base.is_point else {"kind": "curve", "genus": str(job.base.genus)}
-    if job.mode == "ruled":
-        params = {"deg_e": str(job.parameters["deg_e"]), "deg_q": str(job.parameters["deg_q"])}
-    elif job.mode == "pnbundle":
-        params = {
-            "n": str(job.parameters["n"]),
-            "koszul": [[str(r), str(d)] for r, d in job.parameters["koszul"]],
-        }
-    else:
-        params = {"relation": [str(c) for c in job.parameters["relation"]]}
+    params = {key: _echo(value) for key, value in job.parameters.items()}
     return {"mode": job.mode, "base": base, "parameters": params, "series_order": str(job.series_order)}
 
 
@@ -164,16 +159,11 @@ def _check_rank_growth(ranks, n: int) -> None:
 
 
 def _surface_report(surface: RuledSurface) -> dict:
-    fiber = surface.fiber_class()
-    section = surface.section_class()
     lattice = surface.neron_severi()
+    names = lattice.ns_basis_names  # ns_gram is the intersection pairing on (fiber, H)
+    table = {f"{a}.{b}": str(x) for a, row in zip(names, lattice.ns_gram) for b, x in zip(names, row)}
     return {
-        "intersection_table": {
-            "fiber.fiber": str(surface.intersect(fiber, fiber)),
-            "fiber.H": str(surface.intersect(fiber, section)),
-            "H.fiber": str(surface.intersect(section, fiber)),
-            "H.H": str(surface.intersect(section, section)),
-        },
+        "intersection_table": table,
         "gram_f1": [[str(x) for x in row] for row in lattice.gram],
         "radical_basis": [[str(x) for x in vec] for vec in lattice.radical_basis],
         "gram_ns": [[str(x) for x in row] for row in lattice.ns_gram],
@@ -231,9 +221,7 @@ def _print_report(report: dict, out) -> None:
     base = inp["base"]
     base_text = "point" if base["kind"] == "point" else f"curve of genus {base['genus']}"
     print(f"mode: {inp['mode']}    base: {base_text}", file=out)
-    rel = ", ".join(
-        f"T^{e}: ({c['rank']},{c['degree']})" for e, c in sorted(report["relation"].items(), key=lambda kv: int(kv[0]))
-    )
+    rel = ", ".join(f"T^{e}: ({c['rank']},{c['degree']})" for e, c in report["relation"].items())
     print(f"relation: {rel}", file=out)
     gs = report["group_structure"]
     line = f"group structure: free of rank {gs['free_rank_over_base']} over the base ring"
@@ -257,16 +245,6 @@ def _print_report(report: dict, out) -> None:
 # -- argument handling ------------------------------------------------
 
 
-def _parse_koszul_flag(text: str):
-    pairs = []
-    for chunk in text.split(","):
-        bits = chunk.split(":")
-        if len(bits) != 2:
-            raise ParseError(f"koszul entry {chunk!r} is not rank:degree")
-        pairs.append([bits[0], bits[1]])
-    return pairs
-
-
 def _job_from_args(args) -> JobSpec:
     doc = {}
     if args.spec is not None:
@@ -275,35 +253,20 @@ def _job_from_args(args) -> JobSpec:
                 doc = json.load(handle)
         except OSError as exc:
             raise ParseError(f"cannot read {args.spec}: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also bad UTF-8, deep nesting and over-long integers
             raise ParseError(f"invalid JSON in {args.spec}: {exc}") from None
         if not isinstance(doc, dict):
             raise ParseError("job document must be a JSON object")
     merged = dict(doc)
-    if "mode" not in merged and args.mode is not None:
-        merged["mode"] = args.mode
-    if "base" not in merged:
-        if args.point:
-            merged["base"] = {"kind": "point"}
-        elif args.genus is not None:
-            merged["base"] = {"kind": "curve", "genus": args.genus}
-    if "series_order" not in merged and args.series_order is not None:
-        merged["series_order"] = args.series_order
-    params = dict(merged.get("parameters", {}))
-    flag_params = {}
-    if args.deg_e is not None:
-        flag_params["deg_e"] = args.deg_e
-    if args.deg_q is not None:
-        flag_params["deg_q"] = args.deg_q
-    if args.n is not None:
-        flag_params["n"] = args.n
-    if args.koszul is not None:
-        flag_params["koszul"] = _parse_koszul_flag(args.koszul)
-    if args.relation is not None:
-        flag_params["relation"] = args.relation.split(",")
-    for key, value in flag_params.items():
-        params.setdefault(key, value)
-    merged["parameters"] = params
+    for key in ("mode", "series_order"):
+        if getattr(args, key) is not None:
+            merged.setdefault(key, getattr(args, key))
+    if args.point or args.genus is not None:
+        merged.setdefault("base", {"kind": "point"} if args.point else {"kind": "curve", "genus": args.genus})
+    params = merged.get("parameters", {})
+    if isinstance(params, dict):  # anything else is rejected by jobspec_from_dict
+        flags = {key: getattr(args, key) for table in PARAMETERS.values() for key in table}
+        merged["parameters"] = {k: v for k, v in flags.items() if v is not None} | params  # the document wins
     return jobspec_from_dict(merged)
 
 
@@ -358,8 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--deg-e", type=int, dest="deg_e")
     runp.add_argument("--deg-q", type=int, dest="deg_q")
     runp.add_argument("--n", type=int, help="fiber dimension for pnbundle mode")
-    runp.add_argument("--koszul", help="comma-separated rank:degree pairs for pnbundle mode")
-    runp.add_argument("--relation", help="comma-separated integer coefficients for point mode")
+    runp.add_argument(
+        "--koszul",
+        type=lambda s: [pair.split(":") for pair in s.split(",")],
+        help="comma-separated rank:degree pairs for pnbundle mode",
+    )
+    runp.add_argument("--relation", type=lambda s: s.split(","), help="comma-separated coefficients for point mode")
 
     verp = sub.add_parser("verify", help="run the built-in property grids")
     verp.add_argument("--grid", default="5,5", metavar="GMAX,DMAX", help="genus and degree bounds (default 5,5)")

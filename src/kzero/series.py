@@ -87,10 +87,10 @@ class LaurentPoly:
         return cls(coeff.base, {exp: coeff})
 
     @classmethod
-    def from_int_coeffs(cls, base: BaseSpace, ints, start: int = 0) -> LaurentPoly:
-        """Polynomial with pure rank coefficients (c, 0)."""
+    def from_int_coeffs(cls, base: BaseSpace, ints) -> LaurentPoly:
+        """Polynomial sum (c_i, 0) T^i with pure rank coefficients."""
         ranks = [int(c) for c in ints]
-        return cls._dense(base, 0, ranks, [0] * len(ranks)).shift(start)
+        return cls._dense(base, 0, ranks, [0] * len(ranks))
 
     def terms(self):
         """Pairs (exponent, coefficient) in increasing exponent order."""

@@ -102,11 +102,11 @@ class RuledSurface:
 
     def fiber_class(self) -> SurfaceClass:
         """Pullback of a point class: (0,1) in degree zero."""
-        return self.class_of({0: self.base.k0(0, 1)})
+        return SurfaceClass(self, LaurentPoly._dense(self.base, 0, [0], [1]))
 
     def section_class(self) -> SurfaceClass:
         """The K-theoretic section H = [O] - [O(-1)]."""
-        return self.class_of({0: self.base.one, 1: -self.base.one})
+        return SurfaceClass(self, LaurentPoly._dense(self.base, 0, [1, -1], [0, 0]))
 
     # -- pairings ----------------------------------------------------
 

@@ -8,6 +8,8 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kzero.surface
 import kzero.verify
@@ -285,3 +287,96 @@ def test_closed_stdout_pipe_ends_without_a_traceback():
     assert head == b'{\n  "schem'
     assert err == b""
     assert proc.returncode == 1
+
+
+def test_unreadable_job_documents_are_parse_errors(tmp_path, capsys):
+    files = {
+        "deep.json": b"[" * 200_000 + b"]" * 200_000,  # deeper than the recursion limit
+        "latin1.json": '{"mode": "ruled", "base": {"kind": "curve", "genus": "\xe9"}}'.encode("latin-1"),
+        "long_int.json": b'{"mode": "point", "series_order": ' + b"7" * 5000 + b"}",  # past 4,300 digits
+    }
+    for name, data in files.items():
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert main(["run", "--spec", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid JSON in {path}: "), name
+        assert "Traceback" not in err
+
+
+def test_non_object_parameters_in_a_job_file_are_parse_errors(tmp_path, capsys):
+    path = tmp_path / "job.json"
+    for params in (5, "ab", [["deg_e", 1]], None):
+        path.write_text(json.dumps({"mode": "ruled", "base": {"kind": "curve"}, "parameters": params}))
+        assert main(["run", "--spec", str(path), "--deg-e", "1", "--deg-q", "1"]) == 1
+        assert capsys.readouterr().err == "error: parameters must be an object\n"
+
+
+# -- job documents, property-based ----------------------------------------
+
+KEYS = {"ruled": ("deg_e", "deg_q"), "pnbundle": ("n", "koszul"), "point": ("relation",)}
+
+
+def numbers(ints):
+    """An integer, or the same integer as a decimal string."""
+    return st.one_of(ints, ints.map(str))
+
+
+@st.composite
+def job_documents(draw, ints, orders):
+    mode = draw(st.sampled_from(sorted(KEYS)))
+    num = numbers(ints)
+    if mode == "ruled":
+        params = {"deg_e": draw(num), "deg_q": draw(num)}
+    elif mode == "pnbundle":
+        params = {"n": draw(num), "koszul": draw(st.lists(st.lists(num, min_size=2, max_size=2), max_size=5))}
+    else:
+        params = {"relation": draw(st.lists(num, min_size=1, max_size=6))}
+    doc = {"mode": mode, "parameters": params}
+    if draw(st.booleans()):
+        doc["base"] = draw(st.sampled_from(({"kind": "point"}, {"kind": "curve", "genus": draw(numbers(orders))})))
+    if draw(st.booleans()):
+        doc["series_order"] = draw(numbers(orders))
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(job_documents(st.integers(-(10**40), 10**40), st.integers(0, 10**40)), st.data())
+def test_valid_job_documents_survive_the_round_trip(doc, data):
+    # parameters of the other modes are ignored and left out of the echo
+    for mode, keys in KEYS.items():
+        if mode != doc["mode"] and data.draw(st.booleans()):
+            doc["parameters"].update({key: data.draw(st.integers(-3, 3)) for key in keys})
+    job = jobspec_from_dict(doc)
+    echo = jobspec_to_dict(job)
+    assert jobspec_from_dict(echo) == job
+    assert_all_strings(echo)
+    assert tuple(echo["parameters"]) == KEYS[doc["mode"]]
+
+
+NAMES = ("mode", "base", "kind", "genus", "parameters", "series_order", *(k for keys in KEYS.values() for k in keys))
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 50),
+    st.floats(-3, 50),
+    st.sampled_from(("ruled", "pnbundle", "point", "curve", "1", "-1", "0", "2", "x", "")),
+)
+JSON = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(st.sampled_from(NAMES), inner)),
+    max_leaves=12,
+)
+DOCUMENTS = st.one_of(
+    job_documents(st.integers(-3, 6), st.integers(0, 50)), JSON, st.dictionaries(st.sampled_from(NAMES), JSON)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(DOCUMENTS)
+def test_any_json_value_is_a_report_or_a_value_error(doc):
+    try:
+        report = run(jobspec_from_dict(doc))
+    except ValueError:
+        return
+    assert report["schema"] == 1 and report["hilbert_ranks"]
