@@ -17,7 +17,10 @@ and ``deg_q``; ``n`` and ``koszul`` as a list of [rank, degree] pairs;
 validation error).  Flags may supply the same fields; on
 conflict the JSON document wins.  Every integer in an emitted report is
 a decimal string, so arbitrary-precision values survive consumers that
-parse JSON numbers as doubles.
+parse JSON numbers as doubles.  Hilbert ranks come from an exact
+``decimal.Decimal`` recurrence, as ``str`` is linear in the digits of a
+Decimal but quadratic for an int; a job whose ranks would pass
+MAX_REPORT_DIGITS = 30000000 digits in total is a validation error.
 
 ``kzero verify`` sweeps genera 0..GMAX and degrees -DMAX..DMAX (default
 5,5); a negative bound, or a grid of more than MAX_GRID_SURFACES = 100000
@@ -37,12 +40,14 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DecimalException, localcontext
+from decimal import Inexact, InvalidOperation, Overflow, Rounded
 from functools import partial
 
 from .base import BaseSpace, curve, point
 from .bundle import PnBundleSpec, free_abelian_rank, group_structure
 from .errors import InvariantViolation, ParseError, ValidationError
-from .series import LaurentPoly, series_invert
+from .series import LaurentPoly
 from .surface import RuledSurface
 from . import verify as verify_mod
 
@@ -50,6 +55,9 @@ SCHEMA_VERSION = 1
 DEFAULT_SERIES_ORDER = 32
 MAX_SERIES_ORDER = 100_000
 MAX_GRID_SURFACES = 100_000
+MAX_REPORT_DIGITS = 30_000_000  # digits of all Hilbert ranks in one report
+# integers as Decimals: any rounding, overflow or invalid operation traps
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded, Overflow, InvalidOperation])
 
 
 # -- job specifications ----------------------------------------------
@@ -138,18 +146,32 @@ def jobspec_to_dict(job: JobSpec) -> dict:
 # -- report building -------------------------------------------------
 
 
-def _decimal(n: int) -> str:
-    """str(n), also past CPython's int-to-string digit limit, which stays as it is."""
-    try:
-        return str(n)
-    except ValueError:
-        from decimal import Decimal  # imported only for such integers
-
-        return str(Decimal(n))
-
-
 def _poly_json(p: LaurentPoly) -> dict:
-    return {str(e): {"rank": _decimal(c.rank), "degree": _decimal(c.degree)} for e, c in p.terms()}
+    # relation coefficients are job inputs, which were parsed within the int-to-string digit limit
+    return {str(e): {"rank": str(c.rank), "degree": str(c.degree)} for e, c in p.terms()}
+
+
+def _hilbert_ranks(relation: LaurentPoly, order: int) -> list[Decimal]:
+    """Ranks of 1/relation to T^order: b_0 = 1, b_n = -sum_k c_k * b_(n-k) over the relation's ranks c_k.
+
+    The relation has constant term (1, 0); rank is a ring map, so these are the ranks of ``series_invert``.
+    """
+    zero, digits = Decimal(), 1
+    terms = [(k, Decimal(-c)) for k, c in enumerate(relation.ranks) if k and c]
+    ranks = [zero] * (len(relation.ranks) - 1) + [Decimal(1)]  # b_n = 0 for n < 0 pads the front
+    try:
+        with localcontext(_EXACT):
+            for _ in range(order):
+                r = zero  # a sum from +0 never ends at -0, which would print as "-0"
+                for k, c in terms:
+                    r += c * ranks[-k]
+                digits += r.adjusted() + 1
+                if digits > MAX_REPORT_DIGITS:
+                    raise ValidationError(f"hilbert ranks pass MAX_REPORT_DIGITS = {MAX_REPORT_DIGITS} digits")
+                ranks.append(r)
+    except DecimalException as exc:
+        raise InvariantViolation(f"inexact hilbert rank arithmetic: {exc!r}") from None
+    return ranks[len(relation.ranks) - 1 :]
 
 
 def _check_rank_growth(ranks, n: int) -> None:
@@ -202,15 +224,15 @@ def run(job: JobSpec) -> dict:
         relation = spec.relation_poly()
         gs = group_structure(spec)
         free_rank, abelian_rank = gs.free_rank_over_base, gs.point_base_abelian_rank
-    series = series_invert(relation, job.series_order)
+    ranks = _hilbert_ranks(relation, job.series_order)
     if spec is not None:
-        _check_rank_growth(series.ranks(), spec.n)
+        _check_rank_growth(ranks, spec.n)
     report["relation"] = _poly_json(relation)
     report["group_structure"] = {
         "free_rank_over_base": str(free_rank),
         "point_base_abelian_rank": None if abelian_rank is None else str(abelian_rank),
     }
-    report["hilbert_ranks"] = [_decimal(r) for r in series.ranks()]
+    report["hilbert_ranks"] = [str(r) for r in ranks]
     if surface is not None:
         report.update(_surface_report(surface))
     return report

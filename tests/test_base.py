@@ -1,6 +1,8 @@
 """Ring and pairing laws of numerical base classes."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kzero import (
     BaseMismatch,
@@ -118,6 +120,16 @@ def test_dual_is_a_ring_involution():
         for b in small_classes(x, 1):
             assert (a * b).dual() == a.dual() * b.dual()
     assert x.one.dual() == x.one
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6), st.integers(-(10**40), 10**40), st.integers(-(10**40), 10**40))
+def test_dual_is_an_involution(genus, rank, degree):
+    a = curve(genus).k0(rank, degree)
+    assert a.dual().dual() == a
+    assert a.dual() == curve(genus).k0(rank, -degree)
+    b = point().k0(rank, 0)  # no degree to flip: dual is the identity over a point
+    assert b.dual() == b
 
 
 # -- units -------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Command-line behavior: parsing, reports, exit codes."""
 
+import decimal
 import json
+import math
 import os
+import resource
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from pathlib import Path
 
@@ -11,12 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kzero.cli
 import kzero.surface
 import kzero.verify
-from kzero import InvariantViolation, RuledSurface
+from kzero import InvariantViolation, LaurentPoly, PnBundleSpec, RuledSurface, curve, point, series_invert
 from kzero.cli import (
     DEFAULT_SERIES_ORDER,
     MAX_GRID_SURFACES,
+    MAX_REPORT_DIGITS,
     MAX_SERIES_ORDER,
     _check_rank_growth,
     jobspec_from_dict,
@@ -271,6 +277,58 @@ def test_report_integers_may_pass_the_int_to_string_digit_limit(capsys):
     assert products == [1] + [0] * 1500
 
 
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_report_digit_budget_rejects_huge_outputs_quickly():
+    assert MAX_REPORT_DIGITS == 30_000_000
+    # about 15 GB of ranks without the budget, which stops it near T^4470;
+    # a child process under a memory limit keeps a broken budget from taking the machine
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["run", "--mode", "point", "--relation", "1,-1000,1", "--series-order", "100000"]
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "kzero", *argv], capture_output=True, env=env, timeout=60, preexec_fn=_limit_memory
+    )
+    assert time.perf_counter() - start < 5
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == b"error: hilbert ranks pass MAX_REPORT_DIGITS = 30000000 digits\n"
+
+
+def test_report_digit_budget_counts_every_rank_digit(monkeypatch, capsys):
+    monkeypatch.setattr(kzero.cli, "MAX_REPORT_DIGITS", 100)
+    argv = ["run", "--mode", "point", "--relation", "1,-1", "--json", "--series-order"]
+    assert main([*argv, "99"]) == 0  # 100 ranks of one digit each
+    assert json.loads(capsys.readouterr().out)["hilbert_ranks"] == ["1"] * 100
+    assert main([*argv, "100"]) == 1
+    assert "MAX_REPORT_DIGITS = 100" in capsys.readouterr().err
+    # bundle modes count the same digits: the ruled ranks 1 .. 54 have 9 + 90
+    ruled = ["run", "--mode", "ruled", "--genus", "0", "--deg-e", "10000", "--deg-q", "-10000"]
+    assert main([*ruled, "--series-order", "53"]) == 0
+    assert main([*ruled, "--series-order", "54"]) == 1
+    assert "MAX_REPORT_DIGITS = 100" in capsys.readouterr().err
+
+
+def test_rank_arithmetic_leaves_the_decimal_context_and_traps_inexact_steps(monkeypatch, capsys):
+    context = decimal.getcontext()
+    state = repr(context)
+    point_job = ["run", "--mode", "point", "--relation", "1,-1000,1", "--series-order"]
+    assert main([*point_job, "1500"]) == 0
+    monkeypatch.setattr(kzero.cli, "MAX_REPORT_DIGITS", 1000)
+    assert main([*point_job, "1500"]) == 1  # leaves through the digit budget
+    capsys.readouterr()
+    # five digits of precision: the ranks of 1/(1 - 1000 T + T^2) round at T^2
+    monkeypatch.setattr(kzero.cli, "_EXACT", decimal.Context(prec=5, traps=[decimal.Inexact, decimal.Rounded]))
+    assert main([*point_job, "1"]) == 0
+    assert main([*point_job, "2"]) == 3  # leaves through a trapped signal
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: inexact hilbert rank arithmetic") and "Traceback" not in err
+    assert decimal.getcontext() is context
+    assert repr(context) == state
+
+
 def test_closed_stdout_pipe_ends_without_a_traceback():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -380,3 +438,43 @@ def test_any_json_value_is_a_report_or_a_value_error(doc):
     except ValueError:
         return
     assert report["schema"] == 1 and report["hilbert_ranks"]
+
+
+# -- Hilbert ranks, property-based --------------------------------------------
+
+
+@st.composite
+def rank_jobs(draw):
+    """A valid job document of any mode and the relation polynomial it inverts."""
+    mode = draw(st.sampled_from(sorted(KEYS)))
+    order = draw(st.integers(0, 200))
+    if mode == "point":
+        coeffs = [1]
+        if draw(st.booleans()):
+            middle = st.one_of(st.just(0), st.integers(-(10**6), 10**6))
+            coeffs += draw(st.lists(middle, max_size=5)) + [draw(st.sampled_from((1, -1)))]
+        doc = {"mode": mode, "parameters": {"relation": coeffs}}
+        return doc, order, LaurentPoly.from_int_coeffs(point(), coeffs)
+    genus = draw(st.integers(0, 4))
+    degrees = st.integers(-(10**6), 10**6)
+    if mode == "ruled":
+        deg_e, deg_q = draw(degrees), draw(degrees)
+        doc = {"mode": mode, "base": {"kind": "curve", "genus": genus}, "parameters": {"deg_e": deg_e, "deg_q": deg_q}}
+        return doc, order, RuledSurface.from_degrees(genus, deg_e, deg_q).bundle_spec().relation_poly()
+    n = draw(st.integers(1, 5))
+    base = point() if draw(st.booleans()) else curve(genus)
+    koszul = [[1, 0]] + [[math.comb(n + 1, q), 0 if base.is_point else draw(degrees)] for q in range(1, n + 2)]
+    doc = {
+        "mode": mode,
+        "base": {"kind": "point"} if base.is_point else {"kind": "curve", "genus": genus},
+        "parameters": {"n": n, "koszul": koszul},
+    }
+    return doc, order, PnBundleSpec(base, n, tuple(base.k0(r, d) for r, d in koszul)).relation_poly()
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_jobs())
+def test_report_ranks_are_the_ranks_of_the_inverted_relation(job):
+    doc, order, relation = job
+    report = run(jobspec_from_dict({**doc, "series_order": order}))
+    assert report["hilbert_ranks"] == [str(r) for r in series_invert(relation, order).ranks()]

@@ -46,6 +46,24 @@ GOLDEN = [
         "7e0f75acb71a94686b0af1bc4bfe909f06dc158996e5e58eac057984968567e8",
         ["run", "--mode", "point", "--relation", "1,-7,2,-1", "--series-order", "80", "--json"],
     ),
+    # ranks past CPython's 4,300-digit int-to-string limit (a 3.4 MB report), in both layouts
+    (
+        "407f94890d795641bf1f8d985ea3ac4194cef7f261cac2fd8508da64731a2dcd",
+        ["run", "--mode", "point", "--relation", "1,-1000,1", "--series-order", "1500", "--json"],
+    ),
+    (
+        "3e8727af0fdbb46143457e91791523f77983accad3a872705dbb3a023b26d196",
+        ["run", "--mode", "point", "--relation", "1,-1000,1", "--series-order", "1500"],
+    ),
+    # zero ranks, reached through sums that cancel: 1 0 -1 0 1 ...
+    (
+        "ade14b431f8a9daafdd71823690cb0f21aae06bcb25ee2ad7a0a29ddb357b750",
+        ["run", "--mode", "point", "--relation", "1,0,1", "--series-order", "9", "--json"],
+    ),
+    (
+        "a46390a379b84981e91a23c5caba9844aa6fc5f4bf30914d74bab9a520082a68",
+        ["run", "--mode", "point", "--relation", "1", "--series-order", "5"],
+    ),
     ("55f591885005b070132706dabb153d43332870ad09cb96f300cca40ed3dcdb4c", ["verify"]),
     ("756c55950e37376dc0656901d8c297a09e4af0164e1e1eb0e12b32ebd2d5547e", ["verify", "--grid", "2,7"]),
 ]

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kzero import (
     LaurentPoly,
@@ -121,6 +123,31 @@ def test_inverse_times_poly_is_one():
         p = LaurentPoly(x, terms)
         inv = series_invert(p, 20)
         assert inv.mul_poly(p) == TruncatedSeries.one(x, 20)
+
+
+@st.composite
+def unit_constant_polys(draw):
+    """A polynomial in T (no T^-k terms) with a unit constant term, over a point or a curve."""
+    base = draw(st.one_of(st.just(point()), st.builds(curve, st.integers(0, 4))))
+    big = st.integers(-(10**6), 10**6)
+
+    def k0(rank):
+        return base.k0(rank, 0 if base.is_point else draw(big))
+
+    terms = {0: k0(draw(st.sampled_from((1, -1))))}
+    terms.update({e: k0(draw(big)) for e in range(1, draw(st.integers(0, 6)) + 1)})
+    return LaurentPoly(base, terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit_constant_polys(), st.integers(0, 40))
+def test_poly_times_its_inverse_is_one_modulo_the_order(p, order):
+    inv = series_invert(p, order)
+    assert inv.order == order
+    # the full product of polynomials, independent of the truncated product
+    product = p * LaurentPoly(p.base, dict(enumerate(inv.coeffs)))
+    assert [product.coeff(e) for e in range(order + 1)] == [p.base.one] + [p.base.zero] * order
+    assert inv.mul_poly(p) == TruncatedSeries.one(p.base, order)
 
 
 def test_truncated_product_rejects_negative_exponents():

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kzero import (
     BaseMismatch,
@@ -125,6 +127,17 @@ def test_euler_form_is_twist_invariant():
         base_value = s.euler_form(a, b)
         for k in range(-4, 5):
             assert s.euler_form(a.twist(k), b.twist(k)) == base_value
+
+
+CLASS_TERMS = st.dictionaries(st.integers(-6, 6), st.tuples(st.integers(-5, 5), st.integers(-5, 5)), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 4), st.integers(-8, 8), st.integers(-8, 8), CLASS_TERMS, CLASS_TERMS, st.integers(-50, 50))
+def test_euler_form_is_invariant_under_a_common_twist(genus, deg_e, deg_q, a_terms, b_terms, k):
+    s = RuledSurface.from_degrees(genus, deg_e, deg_q)
+    a, b = (s.class_of({e: s.base.k0(r, d) for e, (r, d) in t.items()}) for t in (a_terms, b_terms))
+    assert s.euler_form(a.twist(k), b.twist(k)) == s.euler_form(a, b)
 
 
 def test_euler_form_consistent_with_pushforward():
