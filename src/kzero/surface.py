@@ -181,7 +181,7 @@ class RuledSurface:
         return IntersectionLattice(basis, names, gram, radical, (u, w), ("fiber", "H"), ns_gram)
 
     def _require_own(self, c: SurfaceClass) -> None:
-        if c.surface != self:
+        if c.surface is not self and c.surface != self:
             raise BaseMismatch("class belongs to a different surface")
 
 

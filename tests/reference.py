@@ -5,6 +5,10 @@ These are the straightforward versions of the kernels in
 builds and multiplies ``K0Class`` objects.  The library computes the
 same values on plain integer (rank, degree) pairs; the tests require
 exact agreement.
+
+``integer_kernel_reference`` is the list form of ``kzero.intlinalg``'s
+column Hermite reduction, which the library runs on packed columns for
+wide matrices; the tests require the very same kernel vectors.
 """
 
 from kzero import BundleClass, K0Class, LaurentPoly, TruncatedSeries, euler_form_base
@@ -108,3 +112,33 @@ def mul_poly(s: TruncatedSeries, p: LaurentPoly) -> TruncatedSeries:
                 acc = acc + c * s.coeffs[n - e]
         out.append(acc)
     return TruncatedSeries(s.base, out)
+
+
+def integer_kernel_reference(mat) -> list[list[int]]:
+    """Kernel basis by column Hermite reduction on lists, one entry at a time."""
+    rows = [list(map(int, row)) for row in mat]
+    if rows and any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("ragged matrix")
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    # column j: the matrix column followed by the j-th identity column
+    cols = [[row[j] for row in rows] + [int(i == j) for i in range(n)] for j in range(n)]
+    rank = 0
+    for i in range(m):
+        while True:
+            live = [k for k in range(rank, n) if cols[k][i]]
+            if not live:
+                break
+            p = min(live, key=lambda k: abs(cols[k][i]))
+            cols[rank], cols[p] = cols[p], cols[rank]
+            pivot = cols[rank]
+            if len(live) == 1:
+                rank += 1
+                break
+            # entries above row i are zero in every non-pivot column
+            for k in range(rank + 1, n):
+                col = cols[k]
+                q = col[i] // pivot[i]
+                if q:
+                    col[i:] = [x - q * y for x, y in zip(col[i:], pivot[i:])]
+    return [col[m:] for col in cols[rank:]]

@@ -478,3 +478,15 @@ def test_report_ranks_are_the_ranks_of_the_inverted_relation(job):
     doc, order, relation = job
     report = run(jobspec_from_dict({**doc, "series_order": order}))
     assert report["hilbert_ranks"] == [str(r) for r in series_invert(relation, order).ranks()]
+
+
+def test_rank_growth_check_steps_the_binomials_exactly():
+    for n in (1, 2, 7, 300):
+        ranks = [math.comb(n + i, n) for i in range(60)]
+        _check_rank_growth(ranks, n)
+        for i in (0, 1, 59):
+            bad = ranks[:i] + [ranks[i] + 1] + ranks[i + 1 :]
+            want = f"hilbert rank check failed at T^{i}: {bad[i]} != binomial({n + i},{n})"
+            with pytest.raises(InvariantViolation) as err:
+                _check_rank_growth(bad, n)
+            assert str(err.value) == want

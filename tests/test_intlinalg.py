@@ -12,7 +12,10 @@ from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form
 from sympy.polys.matrices import DomainMatrix
 
-from kzero import integer_kernel
+from kzero import integer_kernel, intlinalg
+from reference import integer_kernel_reference
+
+THRESHOLD = intlinalg.PACKED_MIN_COLUMNS
 
 
 def rational_rank(mat):
@@ -124,3 +127,86 @@ def test_kernel_of_a_near_full_rank_60_by_60_matrix_stays_small():
     assert sympy_is_saturated(kernel)
     assert max(abs(x).bit_length() for vec in kernel for x in vec) < 1000
     assert elapsed < 10
+
+
+# The packed path must take the very pivots and quotients of the list
+# loop, so the tests below ask for equal vectors, not only a saturated
+# basis of the same lattice.
+
+
+def test_both_paths_match_the_list_loop_around_the_column_threshold():
+    rng = random.Random(2024)
+    for n in sorted({1, 2, THRESHOLD - 1, THRESHOLD, THRESHOLD + 1, 12, 20}):
+        for m in sorted({1, max(1, n // 2), n, 2 * n}):
+            for bound in (1, 9, 50):
+                a = random_matrix(rng, m, n, bound)
+                assert integer_kernel(a) == integer_kernel_reference(a)
+        for deficiency in range(min(n, 4)):
+            a = near_full_rank(rng, n, deficiency, 9)
+            assert integer_kernel(a) == integer_kernel_reference(a)
+
+
+@pytest.mark.parametrize("bits", [64, 200, 1000])
+def test_packed_slots_widen_at_the_start_and_mid_run(bits, monkeypatch):
+    widths = []
+    slot_width = intlinalg._slot_width
+
+    def recording(needed):
+        widths.append(slot_width(needed))
+        return widths[-1]
+
+    monkeypatch.setattr(intlinalg, "_slot_width", recording)
+    rng = random.Random(bits)
+    n = THRESHOLD + 2
+
+    def big():
+        return rng.choice((-1, 1)) * rng.getrandbits(bits)
+
+    # a unit pivot with huge quotients makes the entries grow past the
+    # slots sized for the input
+    a = [[1, 1 << bits, -(1 << bits)] + [big() for _ in range(n - 3)]]
+    a += [[big() for _ in range(n)] for _ in range(n - 2)]
+    assert integer_kernel(a) == integer_kernel_reference(a)
+    assert widths[0] > bits
+    assert len(widths) > 1
+
+
+def test_packed_slots_decode_negative_entries_below_positive_ones():
+    width = intlinalg._slot_width(8)
+    half = 1 << (width - 1)
+    for entries in ([-1, 1], [-3, -2, 5, -1, 7], [-half, half - 1, -half, 0, half - 1, -1]):
+        packed = intlinalg._pack(entries, width)
+        assert intlinalg._unpack(packed, len(entries), width) == entries
+    n = THRESHOLD + 1
+    a = [[(-1) ** (i + 1) * (i * n + j + 1) for j in range(n)] for i in range(n)]
+    a += [[-x for x in row] for row in a]
+    assert integer_kernel(a) == integer_kernel_reference(a)
+
+
+def test_packed_path_on_zero_repeated_and_degenerate_matrices():
+    n = THRESHOLD
+    row = list(range(1, n + 1))
+    zero = [0] * n
+    for a in ([], [[]], [zero], [zero] * 3, [row] * 3, [row, zero, row], [zero, row], [[1] * n] * (n + 2)):
+        assert integer_kernel(a) == integer_kernel_reference(a)
+    assert integer_kernel([zero]) == [[int(i == j) for i in range(n)] for j in range(n)]
+    for ragged in ([row, row[1:]], [row[1:], row]):
+        with pytest.raises(ValueError, match="ragged"):
+            integer_kernel(ragged)
+
+
+@st.composite
+def mixed_matrices(draw):
+    n = draw(st.integers(THRESHOLD - 2, THRESHOLD + 4))
+    entry = st.one_of(st.integers(-30, 30), st.integers(-(2**80), 2**80))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=9))
+    rows += [list(rows[i]) for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))]
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * n)
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_matrices())
+def test_kernel_matches_the_list_loop(a):
+    assert integer_kernel(a) == integer_kernel_reference(a)

@@ -245,3 +245,15 @@ def test_commutative_hirzebruch_family():
     for e in range(0, 6):
         s = RuledSurface.from_degrees(0, -e, -e)
         assert s.e_invariant() == e
+
+
+def test_classes_are_accepted_by_an_equal_surface_and_refused_by_another():
+    s, twin, other = (RuledSurface.from_degrees(1, 2, d) for d in (-1, -1, 0))
+    assert twin == s and twin is not s
+    a, b = s.section_class(), twin.fiber_class()
+    assert s.euler_form(a, b) == twin.euler_form(a, b)
+    assert s.pushforward(b) == twin.pushforward(b)
+    with pytest.raises(BaseMismatch, match="different surface"):
+        other.pushforward(a)
+    with pytest.raises(BaseMismatch, match="different surface"):
+        s.euler_form(a, other.fiber_class())
