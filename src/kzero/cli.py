@@ -19,8 +19,15 @@ conflict the JSON document wins.  Every integer in an emitted report is
 a decimal string, so arbitrary-precision values survive consumers that
 parse JSON numbers as doubles.  Hilbert ranks come from an exact
 ``decimal.Decimal`` recurrence, as ``str`` is linear in the digits of a
-Decimal but quadratic for an int; a job whose ranks would pass
-MAX_REPORT_DIGITS = 30000000 digits in total is a validation error.
+Decimal but quadratic for an int.  The recurrence takes series_order
+steps per nonzero relation rank past T^0; a job of more than
+MAX_RANK_STEPS = 1000000 steps, or whose ranks would pass
+MAX_REPORT_DIGITS = 30000000 digits in total, is a validation error.
+
+``--json`` writes the layout of ``json.dumps(report, indent=2)``.  The
+rank list is written as joined text: its strings are digits and '-'
+only, so they need none of the escaping that the pure-Python encoder
+(which any ``indent`` selects) would scan them for.
 
 ``kzero verify`` sweeps genera 0..GMAX and degrees -DMAX..DMAX (default
 5,5); a negative bound, or a grid of more than MAX_GRID_SURFACES = 100000
@@ -41,7 +48,7 @@ import sys
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DecimalException, localcontext
 from decimal import Inexact, InvalidOperation, Overflow, Rounded
-from functools import partial
+from functools import cache, partial
 
 from .base import BaseSpace, curve, point
 from .bundle import PnBundleSpec, free_abelian_rank, group_structure
@@ -55,6 +62,7 @@ DEFAULT_SERIES_ORDER = 32
 MAX_SERIES_ORDER = 100_000
 MAX_GRID_SURFACES = 100_000
 MAX_REPORT_DIGITS = 30_000_000  # digits of all Hilbert ranks in one report
+MAX_RANK_STEPS = 1_000_000  # series_order * nonzero relation ranks past T^0: one product each
 # integers as Decimals: any rounding, overflow or invalid operation traps
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded, Overflow, InvalidOperation])
 
@@ -157,6 +165,10 @@ def _hilbert_ranks(relation: LaurentPoly, order: int) -> list[Decimal]:
     """
     zero, digits = Decimal(), 1
     terms = [(k, Decimal(-c)) for k, c in enumerate(relation.ranks) if k and c]
+    if order * len(terms) > MAX_RANK_STEPS:
+        raise ValidationError(
+            f"hilbert ranks take {order} x {len(terms)} steps, past MAX_RANK_STEPS = {MAX_RANK_STEPS}"
+        )
     ranks = [zero] * (len(relation.ranks) - 1) + [Decimal(1)]  # b_n = 0 for n < 0 pads the front
     try:
         with localcontext(_EXACT):
@@ -294,11 +306,22 @@ def _job_from_args(args) -> JobSpec:
     return jobspec_from_dict(merged)
 
 
+def _report_json(report: dict) -> str:
+    """``json.dumps(report, indent=2)``, with the (never empty) rank list joined as text.
+
+    Only a top-level list closes at a two-space indent, and none precedes
+    the ranks, so the first match is their placeholder.
+    """
+    head, _, tail = json.dumps({**report, "hilbert_ranks": [0]}, indent=2).partition("[\n    0\n  ]")
+    ranks = '",\n    "'.join(report["hilbert_ranks"])
+    return f'{head}[\n    "{ranks}"\n  ]{tail}'
+
+
 def _cmd_run(args, out) -> int:
     job = _job_from_args(args)
     report = run(job)
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=False), file=out)
+        print(_report_json(report), file=out)
     else:
         _print_report(report, out)
     return 0
@@ -357,9 +380,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()  # once per process, on the first main(); parse_args keeps no state in it
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse printed help (code 0) or usage and an error (code 2)
         return 1 if exc.code else 0
     try:

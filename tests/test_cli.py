@@ -22,9 +22,11 @@ from kzero import InvariantViolation, LaurentPoly, PnBundleSpec, RuledSurface, c
 from kzero.cli import (
     DEFAULT_SERIES_ORDER,
     MAX_GRID_SURFACES,
+    MAX_RANK_STEPS,
     MAX_REPORT_DIGITS,
     MAX_SERIES_ORDER,
     _check_rank_growth,
+    _report_json,
     jobspec_from_dict,
     jobspec_to_dict,
     main,
@@ -277,6 +279,13 @@ def test_report_integers_may_pass_the_int_to_string_digit_limit(capsys):
     assert products == [1] + [0] * 1500
 
 
+def _kzero_child(argv, **kwargs):
+    """``python -m kzero argv`` in a child process that imports kzero from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "kzero", *argv], capture_output=True, env=env, **kwargs)
+
+
 def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
@@ -285,13 +294,9 @@ def test_report_digit_budget_rejects_huge_outputs_quickly():
     assert MAX_REPORT_DIGITS == 30_000_000
     # about 15 GB of ranks without the budget, which stops it near T^4470;
     # a child process under a memory limit keeps a broken budget from taking the machine
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     argv = ["run", "--mode", "point", "--relation", "1,-1000,1", "--series-order", "100000"]
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "kzero", *argv], capture_output=True, env=env, timeout=60, preexec_fn=_limit_memory
-    )
+    proc = _kzero_child(argv, timeout=60, preexec_fn=_limit_memory)
     assert time.perf_counter() - start < 5
     assert (proc.returncode, proc.stdout) == (1, b"")
     assert proc.stderr == b"error: hilbert ranks pass MAX_REPORT_DIGITS = 30000000 digits\n"
@@ -309,6 +314,33 @@ def test_report_digit_budget_counts_every_rank_digit(monkeypatch, capsys):
     assert main([*ruled, "--series-order", "53"]) == 0
     assert main([*ruled, "--series-order", "54"]) == 1
     assert "MAX_REPORT_DIGITS = 100" in capsys.readouterr().err
+
+
+def test_rank_step_budget_accepts_jobs_at_the_limit(monkeypatch, capsys):
+    assert MAX_RANK_STEPS == 1_000_000
+    # 1/(1 + T + ... + T^1000) = (1 - T)/(1 - T^1001): order 1000 times 1000 relation ranks is exactly the limit
+    argv = ["run", "--mode", "point", "--relation", ",".join(["1"] * 1001), "--series-order", "1000", "--json"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["hilbert_ranks"] == ["1", "-1"] + ["0"] * 999
+    # zero relation ranks and the constant term take no step
+    monkeypatch.setattr(kzero.cli, "MAX_RANK_STEPS", 10)
+    argv = ["run", "--mode", "point", "--relation", "1,0,0,-1", "--json", "--series-order"]
+    assert main([*argv, "10"]) == 0
+    assert json.loads(capsys.readouterr().out)["hilbert_ranks"] == ["1", "0", "0"] * 3 + ["1", "0"]
+    assert main([*argv, "11"]) == 1
+    assert capsys.readouterr().err == "error: hilbert ranks take 11 x 1 steps, past MAX_RANK_STEPS = 10\n"
+
+
+def test_rank_step_budget_rejects_one_step_past_it_quickly():
+    # P^100 over a point at order 9901: 101 relation ranks, 1,000,001 steps, rejected before any rank is
+    # computed; a child process with a timeout and a memory limit, as for the digit budget
+    koszul = ",".join(f"{math.comb(101, q)}:0" for q in range(102))
+    argv = ["run", "--mode", "pnbundle", "--point", "--n", "100", "--koszul", koszul, "--series-order", "9901"]
+    start = time.perf_counter()
+    proc = _kzero_child(argv, timeout=60, preexec_fn=_limit_memory)
+    assert time.perf_counter() - start < 5
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == b"error: hilbert ranks take 9901 x 101 steps, past MAX_RANK_STEPS = 1000000\n"
 
 
 def test_rank_arithmetic_leaves_the_decimal_context_and_traps_inexact_steps(monkeypatch, capsys):
@@ -490,3 +522,52 @@ def test_rank_growth_check_steps_the_binomials_exactly():
             with pytest.raises(InvariantViolation) as err:
                 _check_rank_growth(bad, n)
             assert str(err.value) == want
+
+
+# -- the report writers ---------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_jobs())
+def test_report_json_is_json_dumps_with_indent_two(job):
+    doc, order, _ = job
+    report = run(jobspec_from_dict({**doc, "series_order": order}))
+    assert _report_json(report) == json.dumps(report, indent=2)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"mode": "point", "parameters": {"relation": [1]}, "series_order": 0},  # the rank list is ["1"]
+        {"mode": "point", "parameters": {"relation": [1, 0, 1]}, "series_order": 9},  # zero and negative ranks
+        {"mode": "point", "parameters": {"relation": [1, -1000, 1]}, "series_order": 1500},  # past 4,300 digits
+        {"mode": "pnbundle", "base": {"kind": "point"}, "parameters": {"n": 1, "koszul": [[1, 0], [2, 0], [1, 0]]}},
+        ruled_doc("0", "-1", "-1", "0"),  # the ruled keys follow the rank list
+        ruled_doc("7", "13", "-40", "200"),
+    ],
+)
+def test_report_json_is_json_dumps_with_indent_two_on_seeded_reports(doc):
+    report = run(jobspec_from_dict(doc))
+    assert _report_json(report) == json.dumps(report, indent=2)
+
+
+def test_reused_parser_leaks_no_state_between_calls(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # the help text wraps at the terminal width
+    spec = tmp_path / "job.json"
+    spec.write_text(json.dumps(ruled_doc("0", "-2", "0", "4")))
+    ruled = ["run", "--mode", "ruled", "--genus", "0", "--deg-e", "-1", "--deg-q", "-1"]
+    calls = [
+        (["run", "--mode", "bogus"], 1),
+        (["--help"], 0),
+        ([*ruled, "--series-order", "5", "--json"], 0),
+        (["run", "--mode", "point", "--point", "--relation", "1,-3,3,-1"], 0),
+        (["verify", "--grid", "0,0"], 0),
+        ([*ruled, "--deg-e", "7"], 0),
+        (["run", "--spec", str(spec), "--deg-e", "7"], 0),  # the document's deg_e of -2 wins
+    ]
+    for argv, code in calls:
+        assert main(argv) == code, argv
+        captured = capsys.readouterr()
+        fresh = _kzero_child(argv, timeout=120)
+        assert (fresh.returncode, fresh.stdout.decode()) == (code, captured.out), argv
+        assert fresh.stderr.decode() == captured.err, argv
