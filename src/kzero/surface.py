@@ -13,21 +13,27 @@ amount is an auto-equivalence, so only the relative twist matters.  Let
 P(m) be the class of Rf_* O(-m): P(m) = B_{-m}, the graded pieces of the
 homogeneous coordinate ring, for m <= 0, and P(1) = 0.  The relation
 forces P(k) - E*P(k+1) + Q*P(k+2) = 0, so R^1 f_* O(-m) = Q^(1-m)*B_{m-2}
-for m >= 2, and
-
-    (a T^i, b T^j)  =  euler_form_base(a, b*B_{i-j} - b*Q^(i-j+1)*B_{j-i-2})
-
-extended biadditively, with B_k = 0 for k < 0.  By the closed form
-B_n = (n+1, deg E*C(n+2,3) - deg Q*C(n+1,3)) for n >= 0, each term pair
-costs O(1): a few integer multiplications on (rank, degree) pairs.
+for m >= 2.  By the closed form B_n = (n+1, deg E*C(n+2,3) - deg Q*C(n+1,3))
+for n >= 0, each P(m) costs O(1).
 
 So the pushforward is well defined on K0, and the pairing vanishes on the
-relation ideal in its second argument.  When deg Q = deg E the surface is
-numerically the commutative P(E) with Q = det E: R^1 f_* O(-m) is the
-Serre dual dual(B_{m-2})*Q^-1, and the pairing is the Riemann-Roch
-pairing, zero on the ideal from both sides.  Otherwise it can depend on
-the representative of its first argument, so it is the Euler form of K0
-only on that locus.
+relation ideal in its second argument.  Both read the normal form
+NF(c) = x + y*T, by Horner's rule from the top with T^2 = Q^-1 (E T - 1)
+and one product with T^m = P(m) + (P(m-1) - E*P(m))*T.  Rf_*(c) = x, and
+
+    (a, b)  =  sum_i euler_form_base(a_i, x_i),   NF(b*T^-i) = x_i + y_i*T,
+
+where i -> i+1 multiplies by T^-1 = E - Q T: (x, y) -> (x*E + y, -x*Q).
+A pairing costs O(span a + span b) integer steps, whatever the gap.
+
+When deg Q = deg E the surface is numerically the commutative P(E) with
+Q = det E: R^1 f_* O(-m) is the Serre dual dual(B_{m-2})*Q^-1, and the
+pairing is the Riemann-Roch pairing, zero on the ideal from both sides.
+Otherwise it can depend on the representative of its first argument,
+which is paired term by term as given.  That keeps it invariant under a
+common twist; off this locus no pairing of this numerical model is both
+twist invariant and well defined in its first argument (a two-sided
+model needs the left and right degrees of Van den Bergh, Trans. AMS 2012).
 
 Intersection numbers of curve-like (total rank zero) classes are the
 negated Euler pairing.  On the rank-zero part of the lattice, the
@@ -41,13 +47,12 @@ numerical invariant of a ruled surface.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
 
-from .base import K0Class, curve
+from .base import CURVE, K0Class, curve
 from .bundle import PnBundleSpec
 from .errors import BaseMismatch, InvariantViolation
 from .intlinalg import integer_kernel
-from .series import LaurentPoly, _check_ruled_pair, hilbert_coeff_ruled, ruled_piece
+from .series import LaurentPoly, _check_ruled_pair, ruled_piece
 
 
 @dataclass(frozen=True)
@@ -63,7 +68,7 @@ class RuledSurface:
     Q: K0Class
 
     def __post_init__(self):
-        if self.E.base != curve(self.genus):
+        if not (isinstance(self.genus, int) and (self.E.base.kind, self.E.base.genus) == (CURVE, self.genus)):
             raise BaseMismatch(f"E and Q must live over {curve(self.genus)!r}")
         _check_ruled_pair(self.E, self.Q)
 
@@ -78,7 +83,7 @@ class RuledSurface:
 
     def hilbert_coeff(self, n: int) -> K0Class:
         """Class B_n of the degree-n piece of the coordinate ring."""
-        return hilbert_coeff_ruled(self.E, self.Q, n)
+        return self.base.k0(*ruled_piece(self.E.degree, self.Q.degree, n))
 
     def bundle_spec(self) -> PnBundleSpec:
         return PnBundleSpec(self.base, 1, (self.base.one, self.E, self.Q))
@@ -111,37 +116,44 @@ class RuledSurface:
     # -- pairings ----------------------------------------------------
 
     def pushforward(self, c: SurfaceClass) -> K0Class:
-        """K-theoretic derived pushforward to the curve, [f_*] - [R^1 f_*]."""
+        """K-theoretic derived pushforward to the curve, [f_*] - [R^1 f_*]: x of NF(c)."""
         self._require_own(c)
-        return self.base.k0(*self._push(c.rep, 0))
+        return self.base.k0(*self._normal_form(c.rep, 0)[:2])
 
     def euler_form(self, a: SurfaceClass, b: SurfaceClass) -> int:
-        """Alternating sum of Ext dimensions between two surface classes."""
+        """Alternating sum of Ext dimensions between two surface classes.
+
+        Walks NF(b*T^-i) over the exponents i of ``a``: O(span a + span b).
+        ``a`` is paired term by term as given (see the module docstring).
+        """
         self._require_own(a)
         self._require_own(b)
-        g1 = 1 - self.genus
+        g1, de, dq = 1 - self.genus, self.E.degree, self.Q.degree
+        xr, xd, yr, yd = self._normal_form(b.rep, a.rep.lo)
         total = 0
-        for i, ar, ad in zip(count(a.rep.lo), a.rep.ranks, a.rep.degrees):
-            # euler_form_base((ar, ad), push of b twisted by i), on integers
-            r, d = self._push(b.rep, i)
-            total += g1 * ar * r + ar * d - ad * r
+        for ar, ad in zip(a.rep.ranks, a.rep.degrees):
+            total += g1 * ar * xr + ar * xd - ad * xr
+            xr, xd, yr, yd = 2 * xr + yr, 2 * xd + de * xr + yd, -xr, -xd - dq * xr
         return total
 
-    def _push(self, p: LaurentPoly, shift: int) -> tuple[int, int]:
-        """(rank, degree) pushed down from sum_j c_j T^(j - shift).
+    def _normal_form(self, p: LaurentPoly, shift: int) -> tuple[int, int, int, int]:
+        """NF(p*T^-shift) = x + y*T as integers (x.rank, x.degree, y.rank, y.degree).
 
-        T^m goes to P(m) = B_{-m} - Q^-(m-1) * B_{m-2}, where
-        Q^-(m-1) * B_{m-2} = (m-1, deg B_{m-2} - (m-1)^2 deg Q).
+        Horner steps (x + y*T)*T + c = (c - y*Q^-1) + (x + y*Q^-1*E)*T, then
+        the product with T^m, m = p.lo - shift: its X is its pushforward
+        x*P(m) + y*P(m+1), and its Y that of its product with T^-1 less E*X.
         """
         de, dq = self.E.degree, self.Q.degree
-        rank = degree = 0
-        for m, cr, cd in zip(count(p.lo - shift), p.ranks, p.degrees):
-            br, bd = ruled_piece(de, dq, -m)
-            kr, kd = ruled_piece(de, dq, m - 2)
-            xr, xd = br - kr, bd - kd + kr * kr * dq
-            rank += cr * xr
-            degree += cr * xd + cd * xr
-        return rank, degree
+        xr = xd = yr = yd = 0
+        for cr, cd in zip(reversed(p.ranks), reversed(p.degrees)):
+            xr, xd, yr, yd = cr - yr, cd - yd + dq * yr, xr + 2 * yr, xd + 2 * yd + (de - 2 * dq) * yr
+        m = p.lo - shift
+        if m:
+            (r0, d0), (r1, d1), (r2, d2) = (_pushed_twist(de, dq, k) for k in (m - 1, m, m + 1))
+            sr, sd = xr * r1 + yr * r2, xr * d1 + xd * r1 + yr * d2 + yd * r2
+            tr, td = xr * r0 + yr * r1, xr * d0 + xd * r0 + yr * d1 + yd * r1
+            xr, xd, yr, yd = sr, sd, tr - 2 * sr, td - 2 * sd - de * sr
+        return xr, xd, yr, yd
 
     def intersect(self, a: SurfaceClass, b: SurfaceClass) -> int:
         """Intersection number of curve-like classes: minus the Euler form."""
@@ -183,6 +195,13 @@ class RuledSurface:
     def _require_own(self, c: SurfaceClass) -> None:
         if c.surface is not self and c.surface != self:
             raise BaseMismatch("class belongs to a different surface")
+
+
+def _pushed_twist(deg_e: int, deg_q: int, m: int) -> tuple[int, int]:
+    """(rank, degree) of P(m) = B_{-m} - Q^-(m-1)*B_{m-2} = B_{-m} - (m-1, deg B_{m-2} - (m-1)^2 deg Q)."""
+    br, bd = ruled_piece(deg_e, deg_q, -m)
+    kr, kd = ruled_piece(deg_e, deg_q, m - 2)
+    return br - kr, bd - kd + kr * kr * deg_q
 
 
 @dataclass(frozen=True)

@@ -36,19 +36,20 @@ class SuiteResult:
     failed: int = 0
     failures: list[str] = field(default_factory=list)
 
-    def check(self, ok: bool, message: str) -> None:
+    def check(self, ok: bool, message) -> None:
+        """Count one check; ``message`` is its failure text, or a callable building it on failure."""
         if ok:
             self.passed += 1
         else:
             self.failed += 1
             if len(self.failures) < MAX_RECORDED_FAILURES:
-                self.failures.append(message)
+                self.failures.append(message() if callable(message) else message)
 
-    def guard(self, fn, message: str) -> None:
+    def guard(self, fn, message) -> None:
         try:
             ok = bool(fn())
         except Exception as exc:
-            self.check(False, f"{message}: raised {exc!r}")
+            self.check(False, f"{message() if callable(message) else message}: raised {exc!r}")
             return
         self.check(ok, message)
 
@@ -83,12 +84,12 @@ def rank_law_suite(dmax: int = 5) -> SuiteResult:
             where = f"(deg E={de}, deg Q={dq})"
             try:
                 s = RuledSurface.from_degrees(0, de, dq)
-                inverted = series_invert(s.relation_poly(), RANK_LAW_NMAX).coeffs
-                pieces = tuple(s.hilbert_coeff(n) for n in range(RANK_LAW_NMAX + 1))
+                inverted = series_invert(s.relation_poly(), RANK_LAW_NMAX)
+                pieces = TruncatedSeries(s.base, (s.hilbert_coeff(n) for n in range(RANK_LAW_NMAX + 1)))
             except Exception as exc:
                 res.check(False, f"rank law raised at {where}: {exc!r}")
                 continue
-            res.check(all(b.rank == n + 1 for n, b in enumerate(pieces)), f"rank(B_n) != n+1 at {where}")
+            res.check(pieces.ranks() == tuple(range(1, RANK_LAW_NMAX + 2)), f"rank(B_n) != n+1 at {where}")
             res.check(inverted == pieces, f"series inversion disagrees with recursion at {where}")
     return res
 
@@ -110,7 +111,7 @@ def inversion_suite() -> SuiteResult:
         p = random_unit_poly(rng, base)
         res.guard(
             lambda: series_invert(p, INVERSION_ORDER).mul_poly(p) == TruncatedSeries.one(base, INVERSION_ORDER),
-            f"p * p^-1 != 1 mod T^{INVERSION_ORDER + 1} for trial {t}: p = {p!r}",
+            lambda: f"p * p^-1 != 1 mod T^{INVERSION_ORDER + 1} for trial {t}: p = {p!r}",
         )
     return res
 

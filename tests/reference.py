@@ -6,12 +6,20 @@ builds and multiplies ``K0Class`` objects.  The library computes the
 same values on plain integer (rank, degree) pairs; the tests require
 exact agreement.
 
+``euler_form_term_pairs`` and ``pushforward_term_pairs`` are the
+pairing and pushforward of ``kzero.surface`` as they were before the
+normal-form walk: every term pair, with P(m) = Rf_* O(-m) in closed form
+on integers, at a cost of |a|*|b| closed forms.
+
 ``integer_kernel_reference`` is the list form of ``kzero.intlinalg``'s
 column Hermite reduction, which the library runs on packed columns for
 wide matrices; the tests require the very same kernel vectors.
 """
 
+from itertools import count
+
 from kzero import BundleClass, K0Class, LaurentPoly, TruncatedSeries, euler_form_base
+from kzero.series import ruled_piece
 
 
 def poly_mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
@@ -86,6 +94,43 @@ def euler_form(surface, a, b) -> int:
     for i, ai in a.rep.terms():
         for j, bj in b.rep.terms():
             total += euler_form_base(ai, bj * pushforward_of_twist(surface.E, surface.Q, j - i))
+    return total
+
+
+def pushed_twist(deg_e: int, deg_q: int, m: int) -> tuple[int, int]:
+    """(rank, degree) of P(m) = B_{-m} - Q^-(m-1) * B_{m-2}, in closed form.
+
+    Q^-(m-1) * B_{m-2} = (m-1, deg B_{m-2} - (m-1)^2 deg Q), and B_k = 0
+    for k < 0, so at most one of the two terms is nonzero.
+    """
+    br, bd = ruled_piece(deg_e, deg_q, -m)
+    kr, kd = ruled_piece(deg_e, deg_q, m - 2)
+    return br - kr, bd - kd + kr * kr * deg_q
+
+
+def _push_terms(surface, rep: LaurentPoly, shift: int) -> tuple[int, int]:
+    """(rank, degree) pushed down from sum_j c_j T^(j - shift), one P(m) per term."""
+    de, dq = surface.E.degree, surface.Q.degree
+    rank = degree = 0
+    for j, cr, cd in zip(count(rep.lo), rep.ranks, rep.degrees):
+        xr, xd = pushed_twist(de, dq, j - shift)
+        rank += cr * xr
+        degree += cr * xd + cd * xr
+    return rank, degree
+
+
+def pushforward_term_pairs(surface, c) -> K0Class:
+    """sum_j c_j * P(j) on integers."""
+    return surface.base.k0(*_push_terms(surface, c.rep, 0))
+
+
+def euler_form_term_pairs(surface, a, b) -> int:
+    """sum over every term pair (i, j) of euler_form_base(a_i, b_j * P(j - i)), on integers."""
+    g1 = 1 - surface.genus
+    total = 0
+    for i, ar, ad in zip(count(a.rep.lo), a.rep.ranks, a.rep.degrees):
+        r, d = _push_terms(surface, b.rep, i)
+        total += g1 * ar * r + ar * d - ad * r
     return total
 
 

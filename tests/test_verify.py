@@ -1,0 +1,97 @@
+"""Exact check counts of the ``kzero verify`` suites, and what they catch."""
+
+import random
+
+import pytest
+
+import kzero.verify
+from kzero import LaurentPoly, RuledSurface, TruncatedSeries, curve, series_invert
+from kzero.series import ruled_piece
+from kzero.verify import (
+    INVERSION_ORDER,
+    INVERSION_SEED,
+    INVERSION_TRIALS,
+    MAX_RECORDED_FAILURES,
+    random_unit_poly,
+    rank_law_suite,
+    run_all,
+)
+
+
+def counts(results):
+    return [(r.name, r.passed, r.failed) for r in results]
+
+
+def test_default_sweep_check_counts():
+    assert counts(run_all()) == [
+        ("intersection identities", 2904, 0),
+        ("hilbert rank law", 242, 0),
+        ("series inversion identity", 200, 0),
+        ("radical and Neron-Severi lattice", 1452, 0),
+    ]
+
+
+def test_smallest_grid_check_counts():
+    assert counts(run_all(0, 0)) == [
+        ("intersection identities", 4, 0),
+        ("hilbert rank law", 2, 0),
+        ("series inversion identity", 200, 0),
+        ("radical and Neron-Severi lattice", 2, 0),
+    ]
+
+
+@pytest.mark.parametrize(
+    "wrong_piece, failed",
+    [
+        (lambda de, dq, n: ruled_piece(de, dq, n + 1), 242),  # B_{n+1}: ranks and series both wrong
+        (lambda de, dq, n: ruled_piece(de, dq, n - 1), 242),
+        (lambda de, dq, n: (lambda r, d: (r, d + 1))(*ruled_piece(de, dq, n)), 121),  # degree + 1
+        (lambda de, dq, n: (lambda r, d: (r, d + (n == 50)))(*ruled_piece(de, dq, n)), 121),  # only B_50
+    ],
+)
+def test_rank_law_suite_catches_an_off_by_one_hilbert_coeff(monkeypatch, wrong_piece, failed):
+    def hilbert_coeff(self, n):
+        return self.base.k0(*wrong_piece(self.E.degree, self.Q.degree, n))
+
+    monkeypatch.setattr(RuledSurface, "hilbert_coeff", hilbert_coeff)
+    res = rank_law_suite()
+    assert (res.passed + res.failed, res.failed) == (242, failed)
+
+
+def inversion_trials():
+    """The (trial, polynomial) pairs that ``inversion_suite`` draws."""
+    rng = random.Random(INVERSION_SEED)
+    for t in range(INVERSION_TRIALS):
+        base = curve(rng.randint(0, 5))
+        yield t, random_unit_poly(rng, base)
+
+
+def test_inversion_failure_messages_name_the_trial_and_polynomial(monkeypatch):
+    def corrupted(p, order):
+        s = series_invert(p, order)
+        if p.ranks[0] == 1:
+            raise ArithmeticError("corrupted")
+        if len(p.ranks) % 2:
+            return TruncatedSeries._dense(s.base, (s.ranks()[0] + 1,) + s.ranks()[1:], s._degrees)
+        return s
+
+    monkeypatch.setattr(kzero.verify, "series_invert", corrupted)
+    res = kzero.verify.inversion_suite()
+    want = []
+    for t, p in inversion_trials():
+        message = f"p * p^-1 != 1 mod T^{INVERSION_ORDER + 1} for trial {t}: p = {p!r}"
+        if p.ranks[0] == 1:
+            want.append(f"{message}: raised ArithmeticError('corrupted')")
+        elif len(p.ranks) % 2:
+            want.append(message)
+    assert res.failed == len(want) and res.passed == INVERSION_TRIALS - len(want)
+    assert res.failures == want[:MAX_RECORDED_FAILURES]
+    assert any("raised" in m for m in res.failures) and any("raised" not in m for m in res.failures)
+
+
+def test_passing_inversion_checks_format_no_polynomial(monkeypatch):
+    calls = []
+    original = LaurentPoly.__repr__
+    monkeypatch.setattr(LaurentPoly, "__repr__", lambda p: calls.append(1) or original(p))
+    res = kzero.verify.inversion_suite()
+    assert (res.passed, res.failed, len(calls)) == (INVERSION_TRIALS, 0, 0)
