@@ -9,7 +9,7 @@ it reproduces the binomial coefficients.
 
 import math
 
-from kzero import PnBundleSpec, curve, hilbert_series_pn, point, series_invert
+from kzero import PnBundleSpec, curve, point, series_invert
 
 # -- ruled surface over a genus-1 curve ---------------------------------
 
@@ -18,7 +18,7 @@ spec = PnBundleSpec(X, 1, (X.one, X.k0(2, -1), X.k0(1, -1)))
 relation = spec.relation_poly()
 print(f"ruled relation polynomial: {relation!r}")
 
-series = hilbert_series_pn(spec, 8)
+series = series_invert(relation, 8)
 print("graded pieces B_0..B_8 (rank grows by one each step):")
 for n, cls in enumerate(series.coeffs):
     print(f"  B_{n} = {cls}")
@@ -32,7 +32,7 @@ print(f"relation * series = {product!r}")
 pt = point()
 plane = PnBundleSpec(pt, 2, tuple(pt.k0(math.comb(3, q)) for q in range(4)))
 print(f"\nquantum P^2 relation: {plane.relation_poly()!r}   (this is (1-T)^3)")
-print(f"hilbert ranks: {hilbert_series_pn(plane, 9).ranks()}")
+print(f"hilbert ranks: {series_invert(plane.relation_poly(), 9).ranks()}")
 print(f"binomials    : {tuple(math.comb(i + 2, 2) for i in range(10))}")
 
 # -- an inversion that is refused ----------------------------------------

@@ -7,7 +7,7 @@ most n.  This script reduces powers of T on a ruled surface and shows
 the twist action and the pushed-forward ideal generator.
 """
 
-from kzero import LaurentPoly, PnBundleSpec, curve, pullback, reduce_poly, rho_of, twist
+from kzero import LaurentPoly, PnBundleSpec, curve, pullback, reduce_poly, twist
 
 X = curve(0)
 spec = PnBundleSpec(X, 1, (X.one, X.k0(2, 1), X.k0(1, -1)))
@@ -24,4 +24,4 @@ unit = pullback(X.one, spec)
 print("\ntwisting the structure class by +1 then -1 returns it:",
       twist(twist(unit, 1), -1) == unit)
 
-print(f"\nideal generator attached to a point class: {rho_of(X.k0(0, 1), spec)!r}")
+print(f"\nideal generator attached to a point class: {spec.relation_poly() * X.k0(0, 1)!r}")

@@ -26,7 +26,6 @@ from .bundle import (
     group_structure,
     pullback,
     reduce_poly,
-    rho_of,
     twist,
 )
 from .errors import (
@@ -44,7 +43,6 @@ from .series import (
     LaurentPoly,
     TruncatedSeries,
     hilbert_coeff_ruled,
-    hilbert_series_pn,
     series_invert,
 )
 from .surface import IntersectionLattice, RuledSurface, SurfaceClass
@@ -61,14 +59,12 @@ __all__ = [
     "TruncatedSeries",
     "series_invert",
     "hilbert_coeff_ruled",
-    "hilbert_series_pn",
     "PnBundleSpec",
     "BundleClass",
     "GroupStructure",
     "reduce_poly",
     "pullback",
     "twist",
-    "rho_of",
     "group_structure",
     "free_abelian_rank",
     "RuledSurface",

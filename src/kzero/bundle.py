@@ -163,15 +163,6 @@ def twist(c: BundleClass, k: int) -> BundleClass:
     return reduce_poly(c.as_poly().shift(k), c.spec)
 
 
-def rho_of(f: K0Class, spec: PnBundleSpec) -> LaurentPoly:
-    """Image in the relation ideal of a base class pushed onto the bundle.
-
-    A class supported on the base generates the ideal element
-    f * relation; in particular the identity maps to the relation itself.
-    """
-    return spec.relation_poly() * f
-
-
 @dataclass(frozen=True)
 class GroupStructure:
     """Shape of the quotient group: free of rank n+1 over the base ring.

@@ -351,7 +351,9 @@ def _cmd_verify(args, out) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process, on the first main(); parse_args keeps no state in it
     parser = argparse.ArgumentParser(
         prog="kzero",
         description="Grothendieck groups and intersection theory of quantum projective-space bundles",
@@ -378,11 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     verp = sub.add_parser("verify", help="run the built-in property grids")
     verp.add_argument("--grid", default="5,5", metavar="GMAX,DMAX", help="genus and degree bounds (default 5,5)")
     return parser
-
-
-@cache
-def _parser() -> argparse.ArgumentParser:
-    return build_parser()  # once per process, on the first main(); parse_args keeps no state in it
 
 
 def main(argv=None) -> int:

@@ -104,12 +104,14 @@ def _offset(slots: int, width: int) -> int:
 
 
 def _pack(entries: list[int], width: int) -> int:
+    """sum entries[j] * 2^(width*j), for whole-byte ``width`` and entries in [-2^(width-1), 2^(width-1))."""
     half = 1 << (width - 1)
     data = b"".join((x + half).to_bytes(width // 8, "little") for x in entries)
     return int.from_bytes(data, "little") - _offset(len(entries), width)
 
 
 def _unpack(packed: int, slots: int, width: int) -> list[int]:
+    """The entries of ``_pack``, also of a sum or product of packings whose slots all stay in range."""
     half, w = 1 << (width - 1), width // 8
     data = (packed + _offset(slots, width)).to_bytes(slots * w, "little")
     return [int.from_bytes(data[j : j + w], "little") - half for j in range(0, slots * w, w)]

@@ -29,6 +29,7 @@ from .errors import (
     RankConstraintViolation,
     ValidationError,
 )
+from .intlinalg import _pack, _unpack
 
 
 class LaurentPoly:
@@ -294,29 +295,17 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
     """The coefficient list of (sum a_i x^i)(sum b_j x^j); zeros if a list is empty.
 
     Kronecker substitution: each list is packed into one integer with
-    k-byte slots at x = 256^k and the two integers are multiplied once.
-    No product coefficient exceeds bound = max|a| * max|b| * min(len a,
-    len b) in size, so a slot of k bytes holds it with its sign, and
-    adding 2^(8k-1) to every slot makes all slots non-negative before the
-    bytes are split apart.
+    signed slots of w bits at x = 2^w and the two integers are multiplied
+    once.  No product coefficient exceeds bound = max|a| * max|b| *
+    min(len a, len b) in size, so a slot of w = 8 * (bound.bit_length()
+    // 8 + 1) bits holds it with its sign.
     """
     n = len(a) + len(b) - 1
     bound = max(map(abs, a), default=0) * max(map(abs, b), default=0) * min(len(a), len(b))
     if not bound:
         return [0] * n
-    k = bound.bit_length() // 8 + 1
-    half = 1 << (8 * k - 1)
-    offset = int.from_bytes(half.to_bytes(k, "little") * n, "little")
-    raw = (_pack(a, k) * _pack(b, k) + offset).to_bytes(n * k, "little")
-    return [int.from_bytes(raw[i : i + k], "little") - half for i in range(0, n * k, k)]
-
-
-def _pack(xs: list[int], k: int) -> int:
-    """sum xs[i] * 256^(k*i), for entries below 2^(8k-1) in size."""
-    zero = bytes(k)
-    pos = b"".join(x.to_bytes(k, "little") if x > 0 else zero for x in xs)
-    neg = b"".join((-x).to_bytes(k, "little") if x < 0 else zero for x in xs)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    w = 8 * (bound.bit_length() // 8 + 1)
+    return _unpack(_pack(a, w) * _pack(b, w), n, w)
 
 
 def _check_ruled_pair(E: K0Class, Q: K0Class) -> None:
@@ -343,13 +332,3 @@ def hilbert_coeff_ruled(E: K0Class, Q: K0Class, n: int) -> K0Class:
     """
     _check_ruled_pair(E, Q)
     return E.base.k0(*ruled_piece(E.degree, Q.degree, n))
-
-
-def hilbert_series_pn(spec, order: int) -> TruncatedSeries:
-    """Hilbert series of a projective-space bundle, to the given order.
-
-    This is the inverse of the bundle's alternating relation polynomial;
-    ``spec`` is any object with a ``relation_poly()`` method, e.g. a
-    :class:`~kzero.bundle.PnBundleSpec`.
-    """
-    return series_invert(spec.relation_poly(), order)

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
@@ -20,7 +22,6 @@ from kzero import (
     point,
     pullback,
     reduce_poly,
-    rho_of,
     twist,
 )
 
@@ -180,9 +181,9 @@ def test_pullback_embeds_constant():
 def test_rho_of_scales_the_relation():
     spec = ruled_spec(0, 1, 1)
     x = spec.base
-    assert rho_of(x.one, spec) == spec.relation_poly()
-    assert rho_of(x.zero, spec).is_zero()
-    got = rho_of(x.k0(0, 1), spec)
+    assert spec.relation_poly() * x.one == spec.relation_poly()
+    assert (spec.relation_poly() * x.zero).is_zero()
+    got = spec.relation_poly() * x.k0(0, 1)
     assert got == LaurentPoly(x, {0: x.k0(0, 1), 1: -x.k0(0, 2), 2: x.k0(0, 1)})
 
 
@@ -193,6 +194,55 @@ def test_base_mismatch_rejected():
         reduce_poly(LaurentPoly.one(other), spec)
     with pytest.raises(BaseMismatch):
         pullback(other.one, spec)
+
+
+# -- the group law on normal forms -----------------------------------------
+
+
+@st.composite
+def bundle_specs(draw):
+    """A Pn-bundle with n = 1..4 over a point or a curve, Koszul degrees drawn freely."""
+    base = draw(st.one_of(st.just(point()), st.builds(curve, st.integers(0, 3))))
+    n = draw(st.integers(1, 4))
+    degree = st.just(0) if base.is_point else st.integers(-5, 5)
+    degrees = [0] + draw(st.lists(degree, min_size=n + 1, max_size=n + 1))
+    return PnBundleSpec(base, n, tuple(base.k0(math.comb(n + 1, q), d) for q, d in enumerate(degrees)))
+
+
+@st.composite
+def laurent_polys(draw, base):
+    exps = draw(st.lists(st.integers(-8, 10), max_size=6, unique=True))
+    coeff = st.integers(-20, 20)
+    return LaurentPoly(base, {e: base.k0(draw(coeff), 0 if base.is_point else draw(coeff)) for e in exps})
+
+
+@settings(max_examples=150, deadline=None)
+@given(bundle_specs(), st.data())
+def test_normal_forms_add_subtract_and_negate_like_polynomials(spec, data):
+    p, q = (data.draw(laurent_polys(spec.base)) for _ in range(2))
+    rp, rq = reduce_poly(p, spec), reduce_poly(q, spec)
+    assert reduce_poly(p + q, spec) == rp + rq
+    assert reduce_poly(p - q, spec) == rp - rq
+    assert reduce_poly(-p, spec) == -rp
+    assert (rp - rp).is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(bundle_specs(), st.data(), st.integers(-6, 6))
+def test_twist_method_is_the_twist_function(spec, data, k):
+    c = reduce_poly(data.draw(laurent_polys(spec.base)), spec)
+    assert c.twist(k) == twist(c, k)
+
+
+@settings(max_examples=50, deadline=None)
+@given(bundle_specs(), bundle_specs())
+def test_classes_of_different_specs_do_not_add(spec, other):
+    assume(spec != other)
+    a, b = pullback(spec.base.one, spec), pullback(other.base.one, other)
+    with pytest.raises(BaseMismatch):
+        a + b
+    with pytest.raises(BaseMismatch):
+        a - b
 
 
 # -- group structure ------------------------------------------------------

@@ -18,7 +18,17 @@ from hypothesis import strategies as st
 import kzero.cli
 import kzero.surface
 import kzero.verify
-from kzero import InvariantViolation, LaurentPoly, PnBundleSpec, RuledSurface, curve, point, series_invert
+from kzero import (
+    InvariantViolation,
+    LaurentPoly,
+    ParseError,
+    PnBundleSpec,
+    RuledSurface,
+    ValidationError,
+    curve,
+    point,
+    series_invert,
+)
 from kzero.cli import (
     DEFAULT_SERIES_ORDER,
     MAX_GRID_SURFACES,
@@ -400,6 +410,40 @@ def test_non_object_parameters_in_a_job_file_are_parse_errors(tmp_path, capsys):
         path.write_text(json.dumps({"mode": "ruled", "base": {"kind": "curve"}, "parameters": params}))
         assert main(["run", "--spec", str(path), "--deg-e", "1", "--deg-q", "1"]) == 1
         assert capsys.readouterr().err == "error: parameters must be an object\n"
+
+
+def pn_doc(koszul):
+    return {"mode": "pnbundle", "base": {"kind": "curve", "genus": 0}, "parameters": {"n": 1, "koszul": koszul}}
+
+
+def point_doc(relation, **extra):
+    return {"mode": "point", "base": {"kind": "point"}, "parameters": {"relation": relation}, **extra}
+
+
+REJECTED = {
+    "genus true": (ParseError, ruled_doc(True)),
+    "genus 1.5": (ParseError, ruled_doc(1.5)),
+    "empty base": (ParseError, {**ruled_doc(), "base": {}}),
+    "torus base": (ParseError, {**ruled_doc(), "base": {"kind": "torus"}}),
+    "koszul entry [2]": (ParseError, pn_doc([[1, 0], [2], [1, 0]])),
+    "relation as a string": (ParseError, point_doc("1,2")),
+    "empty relation": (ParseError, point_doc([])),
+    "series_order -1": (ValidationError, point_doc(["1", "-1"], series_order="-1")),
+    "point mode on a curve": (ValidationError, {**point_doc(["1", "-1"]), "base": {"kind": "curve", "genus": 1}}),
+    "a list, not an object": (ParseError, [1]),
+}
+
+
+@pytest.mark.parametrize("error, doc", REJECTED.values(), ids=REJECTED)
+def test_each_rejected_job_raises_its_named_error_and_exits_one(error, doc, tmp_path, capsys):
+    with pytest.raises(ValueError) as caught:
+        run(jobspec_from_dict(doc))
+    assert caught.type is error
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--spec", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(caught.value) in err
 
 
 # -- job documents, property-based ----------------------------------------

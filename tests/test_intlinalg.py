@@ -183,6 +183,22 @@ def test_packed_slots_decode_negative_entries_below_positive_ones():
     assert integer_kernel(a) == integer_kernel_reference(a)
 
 
+@st.composite
+def slot_lists(draw):
+    """A whole-byte slot width and entries up to +-(2^(width-1) - 1), the edges drawn often."""
+    width = 8 * draw(st.integers(1, 6))
+    top = (1 << (width - 1)) - 1
+    entry = st.one_of(st.integers(-top, top), st.sampled_from((top, -top, top - 1, 1 - top, 0, 1, -1)))
+    return width, draw(st.lists(entry, max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(slot_lists())
+def test_packed_slots_round_trip_up_to_the_slot_edge(case):
+    width, entries = case
+    assert intlinalg._unpack(intlinalg._pack(entries, width), len(entries), width) == entries
+
+
 def test_packed_path_on_zero_repeated_and_degenerate_matrices():
     n = THRESHOLD
     row = list(range(1, n + 1))

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import reference
 from kzero import BaseMismatch, LaurentPoly, PnBundleSpec, TruncatedSeries, curve, point, reduce_poly
+from kzero.series import _convolve
 
 BIG = st.sampled_from((2**64, -(2**64), 2**64 - 1, 10**60, -(10**60)))
 COEFF = st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70), BIG)
@@ -84,6 +85,36 @@ def test_product_ring_laws(base, data):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert one * a == a == a * one
+
+
+# slot-edge factors: 2^(8j-1) - 1 is the largest bound a slot of 8j bits holds, 2^(8j-1) the smallest it does not
+EDGES = st.integers(1, 9).flatmap(lambda j: st.sampled_from(((1 << 8 * j - 1) - 1, 1 << 8 * j - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 12), st.integers(1, 12), st.one_of(st.integers(1, 2**70), EDGES), st.integers(1, 2**70),
+    st.booleans(), st.booleans(),
+)
+def test_convolve_reaches_its_coefficient_bound_exactly(la, lb, m, k, alternate, negate):
+    # a_i = m s^i and b_j = +-k s^j: the product coefficient at T^n is
+    # +-m k s^n times the number of pairs i + j = n, so the middle ones
+    # reach _convolve's bound max|a| * max|b| * min(len a, len b)
+    s = -1 if alternate else 1
+    a = [m * s**i for i in range(la)]
+    b = [(-k if negate else k) * s**j for j in range(lb)]
+    got = _convolve(a, b)
+    assert max(map(abs, got)) == m * k * min(la, lb)
+    pt = point()
+    assert got == reference.poly_mul(LaurentPoly.from_int_coeffs(pt, a), LaurentPoly.from_int_coeffs(pt, b)).ranks
+
+
+def test_convolve_at_the_slot_edge():
+    for j in range(1, 10):
+        for top in ((1 << 8 * j - 1) - 1, 1 << 8 * j - 1):
+            assert _convolve([top], [1, -1]) == [top, -top]
+            assert _convolve([-top, top], [1]) == [-top, top]
+            assert _convolve([1, 1], [top, top]) == [top, 2 * top, top]
 
 
 def test_dense_degree_1000_product_is_fast():
