@@ -9,10 +9,11 @@ relation polynomial
 built from the Koszul classes E_0, ..., E_{n+1} of the fiber algebra.
 Connectedness forces E_0 = 1 and the top class has rank 1, so the
 relation is invertible at both ends: every element of the quotient has a
-unique normal form supported on exponents 0..n, and the quotient is a
+unique normal form NF supported on exponents 0..n, and the quotient is a
 free module over the base ring with basis 1, T, ..., T^n.
-:func:`reduce_poly` finds it by one pass of synthetic division on the
-polynomial's integer rank and degree lists.
+One integer routine computes NF for :func:`reduce_poly`, :func:`twist`
+and the ruled surfaces of :mod:`kzero.surface` (n = 1).  Rf_*O = O and
+Rf_*O(-j) = 0 for 1 <= j <= n, so the pushforward is NF's constant term.
 """
 
 from __future__ import annotations
@@ -62,10 +63,12 @@ class PnBundleSpec:
 
     def relation_poly(self) -> LaurentPoly:
         """The alternating sum sum_q (-1)^q E_q T^q generating the ideal."""
-        return LaurentPoly(
-            self.base,
-            {q: (cls if q % 2 == 0 else -cls) for q, cls in enumerate(self.koszul)},
-        )
+        return LaurentPoly._dense(self.base, 0, *_relation_lists(self.koszul))
+
+
+def _relation_lists(koszul) -> tuple[list[int], list[int]]:
+    """Rank and degree lists of sum_q (-1)^q E_q T^q."""
+    return [(-1) ** q * c.rank for q, c in enumerate(koszul)], [(-1) ** q * c.degree for q, c in enumerate(koszul)]
 
 
 @dataclass(frozen=True)
@@ -113,42 +116,70 @@ class BundleClass:
 def reduce_poly(p: LaurentPoly, spec: PnBundleSpec) -> BundleClass:
     """Unique representative of p with T-degree <= n modulo the relation ideal.
 
-    One pass of synthetic division on dense rank and degree lists over
-    the exponents min(lo, 0) .. max(hi, n) of p.  Upwards from the lowest
-    exponent, each negative-exponent coefficient c is cleared by
-    subtracting c * T^e * relation, whose constant term is (1, 0).  Then,
-    downwards from the highest exponent, each coefficient c above n is
-    cleared by subtracting c * lead^-1 * T^(e-n-1) * relation; the
-    leading class lead = (r, d) has r = +-1, so lead^-1 = (r, -d).  Each
-    step subtracts a multiple of the relation, so the output is
-    congruent to the input.  The cost is about (n + 2) steps per exponent
-    in the span of p, however few terms p has.
+    :func:`_normal_form` of p's lists, in O(n * span p + n^2 * log |p.lo|)
+    steps.  Coefficient 0 is the pushforward to the base, as Rf_*O = O and
+    Rf_*O(-j) = 0 for 1 <= j <= n.
     """
     if p.base != spec.base:
         raise BaseMismatch(f"polynomial over {p.base!r}, spec over {spec.base!r}")
-    top = spec.n + 1
-    rel = spec.relation_poly()
-    rel_r, rel_d, lo, pr, pd = rel.ranks, rel.degrees, p.lo, p.ranks, p.degrees
-    start = min(lo, 0)
-    pad, tail = [0] * (lo - start), [0] * (top - lo - len(pr))
-    ranks, degrees = pad + pr + tail, pad + pd + tail
-    # ranks[i], degrees[i] hold the coefficient of T^(start + i)
-    for i in range(-start):
-        r, d = ranks[i], degrees[i]
-        if r or d:
-            for q in range(top + 1):
-                ranks[i + q] -= r * rel_r[q]
-                degrees[i + q] -= r * rel_d[q] + d * rel_r[q]
+    ranks, degrees = _normal_form(_relation_lists(spec.koszul), p.lo, p.ranks, p.degrees)
+    return BundleClass(spec, tuple(map(spec.base.k0, ranks, degrees)))
+
+
+def _normal_form(rel, lo: int, ranks: list[int], degrees: list[int]) -> tuple[list[int], list[int]]:
+    """NF(sum_i (ranks[i], degrees[i]) T^(lo+i)) as rank and degree lists of length n+1.
+
+    ``rel`` holds the relation's lists rho_0 = (1, 0), ..., rho_{n+1}.  Synthetic
+    division leaves the class on exponents lo..lo+n; then it is multiplied by
+    NF(T^lo), by repeated squaring of NF(T) = T or, for lo < 0, of
+    NF(T^-1) = -sum_{q>=1} rho_q T^(q-1).  The gap costs O(n^2 log |lo|).
+    """
+    rel_r, rel_d = rel
+    top = len(rel_r) - 1
+    pad = [0] * (top - len(ranks))
+    ranks, degrees = _divide(rel_r, rel_d, ranks + pad, degrees + pad)
+    if lo > 0:
+        xr, xd = [0, 1] + [0] * (top - 2), [0] * top
+    elif lo < 0:
+        xr, xd, lo = [-r for r in rel_r[1:]], [-d for d in rel_d[1:]], -lo
+    while lo:
+        if lo & 1:
+            ranks, degrees = _multiply(rel_r, rel_d, ranks, degrees, xr, xd)
+        lo >>= 1
+        if lo:
+            xr, xd = _multiply(rel_r, rel_d, xr, xd, xr, xd)
+    return ranks, degrees
+
+
+def _divide(rel_r, rel_d, ranks: list[int], degrees: list[int]) -> tuple[list[int], list[int]]:
+    """Clear entries n+1 and up, top down, in place; return entries 0..n.
+
+    Entry i is cleared by subtracting it times lead^-1 * T^(i-n-1) times
+    the relation; lead = (s, e) has s = +-1, so lead^-1 = (s, -e).
+    """
+    top = len(rel_r) - 1
     lead_r, lead_d = rel_r[top], rel_d[top]
-    for i in range(len(ranks) - 1, top - start - 1, -1):
+    for i in range(len(ranks) - 1, top - 1, -1):
         r, d = ranks[i], degrees[i]
         if r or d:
             mr, md = r * lead_r, d * lead_r - r * lead_d
-            for q in range(top + 1):
+            for q in range(top):
                 ranks[i - top + q] -= mr * rel_r[q]
                 degrees[i - top + q] -= mr * rel_d[q] + md * rel_r[q]
-    out = slice(-start, top - start)
-    return BundleClass(spec, tuple(map(spec.base.k0, ranks[out], degrees[out])))
+    del ranks[top:], degrees[top:]
+    return ranks, degrees
+
+
+def _multiply(rel_r, rel_d, ar, ad, br, bd) -> tuple[list[int], list[int]]:
+    """NF of the product of two normal forms: a schoolbook product, then :func:`_divide`."""
+    size = len(ar) + len(br) - 1
+    ranks, degrees = [0] * size, [0] * size
+    for i, (xr, xd) in enumerate(zip(ar, ad)):
+        if xr or xd:
+            for j, (yr, yd) in enumerate(zip(br, bd), i):
+                ranks[j] += xr * yr
+                degrees[j] += xr * yd + xd * yr
+    return _divide(rel_r, rel_d, ranks, degrees)
 
 
 def pullback(f: K0Class, spec: PnBundleSpec) -> BundleClass:

@@ -3,28 +3,23 @@
 A quantum ruled surface is the noncommutative projectivization
 ``P(E) -> X`` of a rank-2 bimodule over a smooth projective curve of
 genus g, determined together with an invertible rank-1 class Q.  Its
-Grothendieck group is K0(X)[T]/(1 - E T + Q T^2), free over K0(X) with
-basis {1, T}, where the exponent-i coefficient of a class records a
-pullback from the curve twisted by -i.
+Grothendieck group is K0(X)[T]/(1 - E T + Q T^2), the n = 1 case of
+:mod:`kzero.bundle`: free over K0(X) with basis {1, T}, where the
+exponent-i coefficient of a class records a pullback from the curve
+twisted by -i.
 
 The Euler pairing of two surface classes is evaluated by pushing the
-second argument down to the curve.  Twisting both arguments by the same
-amount is an auto-equivalence, so only the relative twist matters.  Let
-P(m) be the class of Rf_* O(-m): P(m) = B_{-m}, the graded pieces of the
-homogeneous coordinate ring, for m <= 0, and P(1) = 0.  The relation
-forces P(k) - E*P(k+1) + Q*P(k+2) = 0, so R^1 f_* O(-m) = Q^(1-m)*B_{m-2}
-for m >= 2.  By the closed form B_n = (n+1, deg E*C(n+2,3) - deg Q*C(n+1,3))
-for n >= 0, each P(m) costs O(1).
-
-So the pushforward is well defined on K0, and the pairing vanishes on the
-relation ideal in its second argument.  Both read the normal form
-NF(c) = x + y*T, by Horner's rule from the top with T^2 = Q^-1 (E T - 1)
-and one product with T^m = P(m) + (P(m-1) - E*P(m))*T.  Rf_*(c) = x, and
+second argument down to the curve.  Rf_*O = O and Rf_*O(-1) = 0, so the
+pushforward of c is the constant coefficient x of its normal form
+NF(c) = x + y*T, found by the bundle module's integer routine.  So it is
+well defined on K0, and the pairing kills the relation ideal in its
+second argument.  A common twist of both arguments is an
+auto-equivalence, so only the relative twist matters:
 
     (a, b)  =  sum_i euler_form_base(a_i, x_i),   NF(b*T^-i) = x_i + y_i*T,
 
 where i -> i+1 multiplies by T^-1 = E - Q T: (x, y) -> (x*E + y, -x*Q).
-A pairing costs O(span a + span b) integer steps, whatever the gap.
+A pairing costs O(span a + span b + log gap) integer steps.
 
 When deg Q = deg E the surface is numerically the commutative P(E) with
 Q = det E: R^1 f_* O(-m) is the Serre dual dual(B_{m-2})*Q^-1, and the
@@ -46,10 +41,10 @@ numerical invariant of a ruled surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .base import CURVE, K0Class, curve
-from .bundle import PnBundleSpec
+from .bundle import PnBundleSpec, _normal_form
 from .errors import BaseMismatch, InvariantViolation
 from .intlinalg import integer_kernel
 from .series import LaurentPoly, _check_ruled_pair, ruled_piece
@@ -66,11 +61,13 @@ class RuledSurface:
     genus: int
     E: K0Class
     Q: K0Class
+    _relation: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (isinstance(self.genus, int) and (self.E.base.kind, self.E.base.genus) == (CURVE, self.genus)):
             raise BaseMismatch(f"E and Q must live over {curve(self.genus)!r}")
         _check_ruled_pair(self.E, self.Q)
+        object.__setattr__(self, "_relation", ([1, -self.E.rank, self.Q.rank], [0, -self.E.degree, self.Q.degree]))
 
     @classmethod
     def from_degrees(cls, genus: int, deg_e: int, deg_q: int) -> RuledSurface:
@@ -90,16 +87,13 @@ class RuledSurface:
 
     def relation_poly(self) -> LaurentPoly:
         """1 - E T + Q T^2, the generator of the relation ideal."""
-        return self.bundle_spec().relation_poly()
+        return LaurentPoly._dense(self.base, 0, *self._relation)
 
     # -- classes -----------------------------------------------------
 
     def class_of(self, terms) -> SurfaceClass:
         rep = terms if isinstance(terms, LaurentPoly) else LaurentPoly(self.base, terms)
         return SurfaceClass(self, rep)
-
-    def zero_class(self) -> SurfaceClass:
-        return SurfaceClass(self, LaurentPoly.zero(self.base))
 
     def structure_class(self, n: int = 0) -> SurfaceClass:
         """Class of O(n); the exponent -n carries the identity coefficient."""
@@ -118,42 +112,24 @@ class RuledSurface:
     def pushforward(self, c: SurfaceClass) -> K0Class:
         """K-theoretic derived pushforward to the curve, [f_*] - [R^1 f_*]: x of NF(c)."""
         self._require_own(c)
-        return self.base.k0(*self._normal_form(c.rep, 0)[:2])
+        ranks, degrees = _normal_form(self._relation, c.rep.lo, c.rep.ranks, c.rep.degrees)
+        return self.base.k0(ranks[0], degrees[0])
 
     def euler_form(self, a: SurfaceClass, b: SurfaceClass) -> int:
         """Alternating sum of Ext dimensions between two surface classes.
 
-        Walks NF(b*T^-i) over the exponents i of ``a``: O(span a + span b).
+        Walks NF(b*T^-i) over the exponents i of ``a``: O(span a + span b + log gap).
         ``a`` is paired term by term as given (see the module docstring).
         """
         self._require_own(a)
         self._require_own(b)
         g1, de, dq = 1 - self.genus, self.E.degree, self.Q.degree
-        xr, xd, yr, yd = self._normal_form(b.rep, a.rep.lo)
+        (xr, yr), (xd, yd) = _normal_form(self._relation, b.rep.lo - a.rep.lo, b.rep.ranks, b.rep.degrees)
         total = 0
         for ar, ad in zip(a.rep.ranks, a.rep.degrees):
             total += g1 * ar * xr + ar * xd - ad * xr
             xr, xd, yr, yd = 2 * xr + yr, 2 * xd + de * xr + yd, -xr, -xd - dq * xr
         return total
-
-    def _normal_form(self, p: LaurentPoly, shift: int) -> tuple[int, int, int, int]:
-        """NF(p*T^-shift) = x + y*T as integers (x.rank, x.degree, y.rank, y.degree).
-
-        Horner steps (x + y*T)*T + c = (c - y*Q^-1) + (x + y*Q^-1*E)*T, then
-        the product with T^m, m = p.lo - shift: its X is its pushforward
-        x*P(m) + y*P(m+1), and its Y that of its product with T^-1 less E*X.
-        """
-        de, dq = self.E.degree, self.Q.degree
-        xr = xd = yr = yd = 0
-        for cr, cd in zip(reversed(p.ranks), reversed(p.degrees)):
-            xr, xd, yr, yd = cr - yr, cd - yd + dq * yr, xr + 2 * yr, xd + 2 * yd + (de - 2 * dq) * yr
-        m = p.lo - shift
-        if m:
-            (r0, d0), (r1, d1), (r2, d2) = (_pushed_twist(de, dq, k) for k in (m - 1, m, m + 1))
-            sr, sd = xr * r1 + yr * r2, xr * d1 + xd * r1 + yr * d2 + yd * r2
-            tr, td = xr * r0 + yr * r1, xr * d0 + xd * r0 + yr * d1 + yd * r1
-            xr, xd, yr, yd = sr, sd, tr - 2 * sr, td - 2 * sd - de * sr
-        return xr, xd, yr, yd
 
     def intersect(self, a: SurfaceClass, b: SurfaceClass) -> int:
         """Intersection number of curve-like classes: minus the Euler form."""
@@ -195,13 +171,6 @@ class RuledSurface:
     def _require_own(self, c: SurfaceClass) -> None:
         if c.surface is not self and c.surface != self:
             raise BaseMismatch("class belongs to a different surface")
-
-
-def _pushed_twist(deg_e: int, deg_q: int, m: int) -> tuple[int, int]:
-    """(rank, degree) of P(m) = B_{-m} - Q^-(m-1)*B_{m-2} = B_{-m} - (m-1, deg B_{m-2} - (m-1)^2 deg Q)."""
-    br, bd = ruled_piece(deg_e, deg_q, -m)
-    kr, kd = ruled_piece(deg_e, deg_q, m - 2)
-    return br - kr, bd - kd + kr * kr * deg_q
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ exact agreement.
 ``euler_form_term_pairs`` and ``pushforward_term_pairs`` are the
 pairing and pushforward of ``kzero.surface`` as they were before the
 normal-form walk: every term pair, with P(m) = Rf_* O(-m) in closed form
-on integers, at a cost of |a|*|b| closed forms.
+on integers, at a cost of |a|*|b| closed forms.  ``pushed_twist`` is
+that closed form of R^1 f_*; the library no longer uses it.
 
 ``integer_kernel_reference`` is the list form of ``kzero.intlinalg``'s
 column Hermite reduction, which the library runs on packed columns for

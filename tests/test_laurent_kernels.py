@@ -1,7 +1,8 @@
 """Polynomial products and normal forms on integer arrays, against oracles.
 
 ``LaurentPoly.__mul__`` multiplies by Kronecker substitution and
-``reduce_poly`` runs one synthetic-division pass; ``reference.py`` keeps
+``reduce_poly`` runs one synthetic-division pass over the span and one
+product with NF(T^lo), found by repeated squaring; ``reference.py`` keeps
 the schoolbook product and the step-by-step reduction that build a
 ``K0Class`` at every step.  The library must agree with them exactly,
 over a point and over curves, with huge coefficients, sparse supports,

@@ -3,9 +3,11 @@
 ``RuledSurface.euler_form`` pairs each term a_i of its first argument
 with the constant coefficient of NF(b*T^-i), stepping i by one
 multiplication with T^-1 = E - Q T; ``pushforward`` reads the constant
-coefficient of NF(c).  These tests hold both to the term-pair loop they
-replaced (``reference.euler_form_term_pairs``), to Snapper's polynomial
-at gaps of 10^9, and to the library's own ``reduce_poly``.
+coefficient of NF(c).  NF is the bundle module's integer normal form,
+the one ``reduce_poly`` wraps; it crosses a gap by repeated squaring.
+These tests hold both to the term-pair loop they replaced
+(``reference.euler_form_term_pairs``, which evaluates R^1 f_* in closed
+form), to Snapper's polynomial at gaps of 10^9, and to ``reduce_poly``.
 """
 
 import math
