@@ -12,7 +12,7 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kzero.cli
@@ -33,9 +33,10 @@ from kzero.cli import (
     DEFAULT_SERIES_ORDER,
     MAX_GRID_SURFACES,
     MAX_RANK_STEPS,
+    MAX_RANK_WORK,
     MAX_REPORT_DIGITS,
     MAX_SERIES_ORDER,
-    _check_rank_growth,
+    _hilbert_ranks,
     _report_json,
     jobspec_from_dict,
     jobspec_to_dict,
@@ -264,8 +265,6 @@ def test_series_order_limit(capsys):
 
 def test_internal_invariant_failure_exits_three_without_a_traceback(monkeypatch, capsys):
     assert not issubclass(InvariantViolation, ValueError)  # never read as bad input
-    with pytest.raises(InvariantViolation, match="T\\^1"):
-        _check_rank_growth([1, 3], 1)
     # a radical vector with middle entry 2 does not complement fiber and H
     monkeypatch.setattr(kzero.surface, "integer_kernel", lambda mat: [[0, 2, 0]])
     assert main(["run", "--mode", "ruled", "--genus", "0", "--deg-e", "-1", "--deg-q", "-1"]) == 3
@@ -351,6 +350,56 @@ def test_rank_step_budget_rejects_one_step_past_it_quickly():
     assert time.perf_counter() - start < 5
     assert (proc.returncode, proc.stdout) == (1, b"")
     assert proc.stderr == b"error: hilbert ranks take 9901 x 101 steps, past MAX_RANK_STEPS = 1000000\n"
+
+
+def test_rank_work_budget_counts_relation_digits_times_the_widest_rank(monkeypatch, capsys):
+    assert MAX_RANK_WORK == 5_000_000_000
+    # the ranks of 1/(1 - 10 T + T^2) are 1, 10, 99, 980: each step multiplies the 3 relation digits by the
+    # digits of the widest rank so far, 1, 2, 2 and then 3
+    monkeypatch.setattr(kzero.cli, "MAX_RANK_WORK", 15)  # 3 + 6 + 6 after three steps, 24 after four
+    argv = ["run", "--mode", "point", "--relation", "1,-10,1", "--json", "--series-order"]
+    assert main([*argv, "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["hilbert_ranks"] == ["1", "10", "99", "980"]
+    assert main([*argv, "4"]) == 1
+    assert capsys.readouterr().err == "error: hilbert ranks pass MAX_RANK_WORK = 15 digit products\n"
+    # bundle ranks follow the rank law and are not weighed
+    pn = ["run", "--mode", "pnbundle", "--point", "--n", "1", "--koszul", "1:0,2:0,1:0", "--series-order", "40"]
+    assert main(pn) == 0
+
+
+def test_rank_work_budget_rejects_wide_coefficients_quickly(tmp_path, capsys):
+    # 100 relation ranks of 1,000 digits (and a unit on top) at order 200: 20,200 steps, well inside
+    # MAX_RANK_STEPS, but about 2e12 digit products and some 40 s of work without the budget
+    spec = tmp_path / "wide.json"
+    relation = ["1"] + [str(10**999 + 7)] * 100 + ["1"]
+    spec.write_text(json.dumps({"mode": "point", "parameters": {"relation": relation}, "series_order": 200}))
+    start = time.perf_counter()
+    assert main(["run", "--spec", str(spec), "--json"]) == 1
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == f"error: hilbert ranks pass MAX_RANK_WORK = {MAX_RANK_WORK} digit products\n"
+
+
+def test_rank_work_budget_admits_the_benchmark_point_jobs(tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    # |b_i| <= S^i for S = sum |c_k| over k >= 1, so the work is at most width * sum_(i < order) (i log10 S + 1)
+    def work_bound(coeffs, order):
+        width = sum(len(str(abs(c))) for c in coeffs[1:] if c)
+        return width * (order + math.log10(sum(abs(c) for c in coeffs[1:])) * order * (order - 1) / 2)
+
+    for seed in range(1, 40):
+        workloads.build_cli_jobs(kzero, seed, tmp_path)
+        for path in tmp_path.glob("job*.json"):
+            doc = json.loads(path.read_text())
+            if doc["mode"] == "point":
+                coeffs = [int(c) for c in doc["parameters"]["relation"]]
+                assert work_bound(coeffs, int(doc["series_order"])) < MAX_RANK_WORK
+    for coeffs, order in (workloads.LARGEST_POINT_JOB, *workloads.DIGIT_LIMIT_JOBS):
+        assert work_bound(coeffs, order) < MAX_RANK_WORK
+        argv = ["run", "--mode", "point", "--relation", ",".join(map(str, coeffs)), "--series-order", str(order)]
+        assert main(argv) == 0
+    capsys.readouterr()
 
 
 def test_rank_arithmetic_leaves_the_decimal_context_and_traps_inexact_steps(monkeypatch, capsys):
@@ -539,10 +588,15 @@ def rank_jobs(draw):
         return doc, order, RuledSurface.from_degrees(genus, deg_e, deg_q).bundle_spec().relation_poly()
     n = draw(st.integers(1, 5))
     base = point() if draw(st.booleans()) else curve(genus)
-    koszul = [[1, 0]] + [[math.comb(n + 1, q), 0 if base.is_point else draw(degrees)] for q in range(1, n + 2)]
+    return pnbundle_rank_job(base, n, [0 if base.is_point else draw(degrees) for _ in range(n + 1)], order)
+
+
+def pnbundle_rank_job(base, n, degrees, order):
+    """A pnbundle job of ``rank_jobs``: Koszul ranks binomial(n + 1, q) and the given degrees for q >= 1."""
+    koszul = [[1, 0]] + [[math.comb(n + 1, q), d] for q, d in enumerate(degrees, 1)]
     doc = {
-        "mode": mode,
-        "base": {"kind": "point"} if base.is_point else {"kind": "curve", "genus": genus},
+        "mode": "pnbundle",
+        "base": {"kind": "point"} if base.is_point else {"kind": "curve", "genus": base.genus},
         "parameters": {"n": n, "koszul": koszul},
     }
     return doc, order, PnBundleSpec(base, n, tuple(base.k0(r, d) for r, d in koszul)).relation_poly()
@@ -550,6 +604,11 @@ def rank_jobs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(rank_jobs())
+# bundle reports step the rank law binomial(n + i, n); fixed examples reach the large n that draws do not
+@example(pnbundle_rank_job(point(), 1, [0, 0], 300))
+@example(pnbundle_rank_job(curve(1), 2, [2, 1, 0], 300))
+@example(pnbundle_rank_job(curve(3), 7, [q - 4 for q in range(8)], 200))
+@example(pnbundle_rank_job(point(), 300, [0] * 301, 300))
 def test_report_ranks_are_the_ranks_of_the_inverted_relation(job):
     doc, order, relation = job
     report = run(jobspec_from_dict({**doc, "series_order": order}))
@@ -557,15 +616,14 @@ def test_report_ranks_are_the_ranks_of_the_inverted_relation(job):
 
 
 def test_rank_growth_check_steps_the_binomials_exactly():
+    # the rank law and the point recurrence, run on the same bundle relation, both give binomial(n + i, n)
     for n in (1, 2, 7, 300):
         ranks = [math.comb(n + i, n) for i in range(60)]
-        _check_rank_growth(ranks, n)
-        for i in (0, 1, 59):
-            bad = ranks[:i] + [ranks[i] + 1] + ranks[i + 1 :]
-            want = f"hilbert rank check failed at T^{i}: {bad[i]} != binomial({n + i},{n})"
-            with pytest.raises(InvariantViolation) as err:
-                _check_rank_growth(bad, n)
-            assert str(err.value) == want
+        doc, _, relation = pnbundle_rank_job(point(), n, [0] * (n + 1), 59)
+        assert _hilbert_ranks(relation, 59, n) == ranks
+        assert _hilbert_ranks(relation, 59, None) == ranks
+        report = run(jobspec_from_dict({**doc, "series_order": 59}))
+        assert report["hilbert_ranks"] == [str(r) for r in ranks]
 
 
 # -- the report writers ---------------------------------------------------

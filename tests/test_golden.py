@@ -7,6 +7,7 @@ to a report updates its digest in the same commit.
 """
 
 import hashlib
+import math
 
 import pytest
 
@@ -63,6 +64,18 @@ GOLDEN = [
     (
         "a46390a379b84981e91a23c5caba9844aa6fc5f4bf30914d74bab9a520082a68",
         ["run", "--mode", "point", "--relation", "1", "--series-order", "5"],
+    ),
+    # bundle ranks by the rank law binomial(n + i, n): P^40 over a point (a 158 kB report), and the largest
+    # n of the benchmark's bundle jobs over a curve
+    (
+        "a8ef789223cc0946c38928716ebff730c6d921f4eb07d58fdbbdf736b6b22218",
+        ["run", "--mode", "pnbundle", "--point", "--n", "40",
+         "--koszul", ",".join(f"{math.comb(41, q)}:0" for q in range(42)), "--series-order", "2000", "--json"],
+    ),
+    (
+        "ef0b314302c55bfc455ee3cdaba5bfac223ec245784d2d40247452b742b81af1",
+        ["run", "--mode", "pnbundle", "--genus", "3", "--n", "8",
+         "--koszul", "1:0,9:2,36:-1,84:3,126:0,126:-4,84:5,36:1,9:-2,1:0", "--series-order", "1600", "--json"],
     ),
     ("55f591885005b070132706dabb153d43332870ad09cb96f300cca40ed3dcdb4c", ["verify"]),
     ("756c55950e37376dc0656901d8c297a09e4af0164e1e1eb0e12b32ebd2d5547e", ["verify", "--grid", "2,7"]),
