@@ -86,11 +86,11 @@ class K0Class:
     def __post_init__(self):
         if not isinstance(self.rank, int) or not isinstance(self.degree, int):
             raise ValidationError("rank and degree must be integers")
-        if self.base.is_point and self.degree != 0:
+        if self.degree and self.base.is_point:
             raise ValidationError("classes over a point have degree 0")
 
     def _require_same_base(self, other: K0Class) -> None:
-        if self.base != other.base:
+        if self.base is not other.base and self.base != other.base:
             raise BaseMismatch(f"mixed bases {self.base!r} and {other.base!r}")
 
     def is_zero(self) -> bool:

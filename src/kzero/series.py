@@ -197,7 +197,7 @@ class TruncatedSeries:
         if not coeffs:
             raise ValidationError("a truncated series needs at least order 0")
         for c in coeffs:
-            if c.base != base:
+            if c.base is not base and c.base != base:
                 raise BaseMismatch(f"coefficient base {c.base!r} != {base!r}")
         self.base = base
         self._ranks = tuple(c.rank for c in coeffs)
@@ -242,10 +242,9 @@ class TruncatedSeries:
         ranks, degrees = self._ranks, self._degrees
         out_r, out_d = [0] * len(ranks), [0] * len(ranks)
         for e, cr, cd in zip(range(p.lo, len(ranks)), p.ranks, p.degrees):
-            for n in range(e, len(ranks)):
-                r = ranks[n - e]
+            for n, r, d in zip(range(e, len(ranks)), ranks, degrees):
                 out_r[n] += cr * r
-                out_d[n] += cr * degrees[n - e] + cd * r
+                out_d[n] += cr * d + cd * r
         return TruncatedSeries._dense(self.base, out_r, out_d)
 
     def __eq__(self, other):
@@ -278,14 +277,15 @@ def series_invert(p: LaurentPoly, order: int) -> TruncatedSeries:
         raise NonUnitConstantTerm(f"constant term {p.coeff(0)!r} is not a unit")
     # (r0 + eps*d0)^-1 = r0 - eps*d0, as r0 = +-1
     r0, d0 = pr[0], pd[0]
-    deg = len(pr) - 1
+    # while b_n is built, b holds b_0 .. b_(n-1), so b_(n-k) is b[-k]; terms past the order are never read
+    terms = [(-k, pr[k], pd[k]) for k in range(1, min(len(pr) - 1, order) + 1)]
     br, bd = [r0], [-d0]
     for n in range(1, order + 1):
         acc_r = acc_d = 0
-        for k in range(1, min(n, deg) + 1):
-            r = br[n - k]
-            acc_r += pr[k] * r
-            acc_d += pr[k] * bd[n - k] + pd[k] * r
+        for k, cr, cd in terms[:n] if n < len(terms) else terms:
+            r = br[k]
+            acc_r += cr * r
+            acc_d += cr * bd[k] + cd * r
         br.append(-r0 * acc_r)
         bd.append(d0 * acc_r - r0 * acc_d)
     return TruncatedSeries._dense(p.base, br, bd)

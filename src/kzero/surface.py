@@ -34,7 +34,8 @@ Intersection numbers of curve-like (total rank zero) classes are the
 negated Euler pairing.  On the rank-zero part of the lattice, the
 radical of the pairing is spanned by fiber - fiber(-1); modding it out
 leaves a rank-2 lattice with basis a fiber and the section class
-H = [O] - [O(-1)], whose intersection matrix is [[0, 1], [1, deg E]].
+H = [O] - [O(-1)], whose intersection matrix is [[0, 1], [1, deg E]]:
+its 3x3 Gram costs one normal form per column, walked down each row.
 The integer e = -H.H = -deg E is the analogue of the classical
 numerical invariant of a ruled surface.
 """
@@ -121,12 +122,17 @@ class RuledSurface:
         Walks NF(b*T^-i) over the exponents i of ``a``: O(span a + span b + log gap).
         ``a`` is paired term by term as given (see the module docstring).
         """
-        self._require_own(a)
-        self._require_own(b)
+        if a.surface is not self or b.surface is not self:
+            self._require_own(a)
+            self._require_own(b)
+        return self._walk(_normal_form(self._relation, b.rep.lo - a.rep.lo, b.rep.ranks, b.rep.degrees), a.rep)
+
+    def _walk(self, nf, a: LaurentPoly) -> int:
+        """The pairing loop: sum_i euler_form_base(a_i, x_i), NF(b*T^-(a.lo+i)) = x_i + y_i*T, from nf at i = 0."""
         g1, de, dq = 1 - self.genus, self.E.degree, self.Q.degree
-        (xr, yr), (xd, yd) = _normal_form(self._relation, b.rep.lo - a.rep.lo, b.rep.ranks, b.rep.degrees)
+        (xr, yr), (xd, yd) = nf
         total = 0
-        for ar, ad in zip(a.rep.ranks, a.rep.degrees):
+        for ar, ad in zip(a.ranks, a.degrees):
             total += g1 * ar * xr + ar * xd - ad * xr
             xr, xd, yr, yd = 2 * xr + yr, 2 * xd + de * xr + yd, -xr, -xd - dq * xr
         return total
@@ -150,11 +156,13 @@ class RuledSurface:
         (negated Euler) pairing.
         """
         u = self.fiber_class()
-        v = u - u.twist(1)
+        v = SurfaceClass(self, LaurentPoly._dense(self.base, 0, [0, 0], [1, -1]))  # fiber - fiber(-1)
         w = self.section_class()
         basis = (u, v, w)
         names = ("fiber", "fiber.H", "H")
-        gram = tuple(tuple(self.euler_form(r, c) for c in basis) for r in basis)
+        # every basis class starts at T^0, so NF(c) starts each row's walk down column c
+        columns = [_normal_form(self._relation, 0, c.rep.ranks, c.rep.degrees) for c in basis]
+        gram = tuple(tuple(self._walk(nf, r.rep) for nf in columns) for r in basis)
         stacked = [list(row) for row in gram]
         stacked += [[gram[i][j] for i in range(3)] for j in range(3)]
         radical = tuple(tuple(vec) for vec in integer_kernel(stacked))
@@ -188,7 +196,7 @@ class SurfaceClass:
     rep: LaurentPoly
 
     def __post_init__(self):
-        if self.rep.base != self.surface.base:
+        if self.rep.base is not self.surface.base and self.rep.base != self.surface.base:
             raise BaseMismatch(f"representative over {self.rep.base!r}, surface over {self.surface.base!r}")
 
     def coeff(self, i: int) -> K0Class:

@@ -2,11 +2,12 @@
 
 Each suite runs a family of exact identities over a grid of surfaces or
 random polynomials and counts passes and failures; the ``kzero verify``
-command drives them and exits nonzero if anything fails.  The Euler
-pairing is looked up on the surface object at call time, so tests can
-substitute a deliberately wrong pairing and confirm the harness notices.
-Exceptions raised mid-check are counted as failures rather than aborting
-the sweep.
+command drives them and exits nonzero if anything fails.  The
+intersection suite looks the Euler pairing up on the surface object at
+call time, so tests can substitute a deliberately wrong pairing and
+confirm the harness notices; the radical suite's Gram is walked inside
+``neron_severi`` and does not call it.  Exceptions raised mid-check are
+counted as failures rather than aborting the sweep.
 
 The surface grid is the only parameter.  B_n is checked to degree 50,
 and series inversion on 200 random polynomials at order 30, seed 20260808.

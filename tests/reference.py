@@ -12,6 +12,10 @@ normal-form walk: every term pair, with P(m) = Rf_* O(-m) in closed form
 on integers, at a cost of |a|*|b| closed forms.  ``pushed_twist`` is
 that closed form of R^1 f_*; the library no longer uses it.
 
+``series_invert_index_loop`` and ``mul_poly_index_loop`` are the
+integer loops of ``kzero.series`` as they were before they read the
+series by negative index and by zip; the tests require equal tuples.
+
 ``integer_kernel_reference`` is the list form of ``kzero.intlinalg``'s
 column Hermite reduction, which the library runs on packed columns for
 wide matrices; the tests require the very same kernel vectors.
@@ -158,6 +162,35 @@ def mul_poly(s: TruncatedSeries, p: LaurentPoly) -> TruncatedSeries:
                 acc = acc + c * s.coeffs[n - e]
         out.append(acc)
     return TruncatedSeries(s.base, out)
+
+
+def series_invert_index_loop(p: LaurentPoly, order: int) -> TruncatedSeries:
+    """``series_invert``'s integer loop as it was, finding b_(n-k) and min(n, deg p) again for every term."""
+    pr, pd = p.ranks, p.degrees
+    r0, d0 = pr[0], pd[0]
+    deg = len(pr) - 1
+    br, bd = [r0], [-d0]
+    for n in range(1, order + 1):
+        acc_r = acc_d = 0
+        for k in range(1, min(n, deg) + 1):
+            r = br[n - k]
+            acc_r += pr[k] * r
+            acc_d += pr[k] * bd[n - k] + pd[k] * r
+        br.append(-r0 * acc_r)
+        bd.append(d0 * acc_r - r0 * acc_d)
+    return TruncatedSeries._dense(p.base, br, bd)
+
+
+def mul_poly_index_loop(s: TruncatedSeries, p: LaurentPoly) -> TruncatedSeries:
+    """``TruncatedSeries.mul_poly``'s integer loop as it was, computing n - e for every term."""
+    ranks, degrees = s.ranks(), s._degrees
+    out_r, out_d = [0] * len(ranks), [0] * len(ranks)
+    for e, cr, cd in zip(range(p.lo, len(ranks)), p.ranks, p.degrees):
+        for n in range(e, len(ranks)):
+            r = ranks[n - e]
+            out_r[n] += cr * r
+            out_d[n] += cr * degrees[n - e] + cd * r
+    return TruncatedSeries._dense(s.base, out_r, out_d)
 
 
 def integer_kernel_reference(mat) -> list[list[int]]:

@@ -341,15 +341,23 @@ def test_rank_step_budget_accepts_jobs_at_the_limit(monkeypatch, capsys):
 
 
 def test_rank_step_budget_rejects_one_step_past_it_quickly():
-    # P^100 over a point at order 9901: 101 relation ranks, 1,000,001 steps, rejected before any rank is
-    # computed; a child process with a timeout and a memory limit, as for the digit budget
-    koszul = ",".join(f"{math.comb(101, q)}:0" for q in range(102))
-    argv = ["run", "--mode", "pnbundle", "--point", "--n", "100", "--koszul", koszul, "--series-order", "9901"]
+    # 1,001 ones at order 1,001: 1,000 relation ranks, 1,001,000 steps, rejected before any rank is computed;
+    # a child process with a timeout and a memory limit, as for the digit budget
+    argv = ["run", "--mode", "point", "--relation", ",".join(["1"] * 1001), "--series-order", "1001"]
     start = time.perf_counter()
     proc = _kzero_child(argv, timeout=60, preexec_fn=_limit_memory)
     assert time.perf_counter() - start < 5
     assert (proc.returncode, proc.stdout) == (1, b"")
-    assert proc.stderr == b"error: hilbert ranks take 9901 x 101 steps, past MAX_RANK_STEPS = 1000000\n"
+    assert proc.stderr == b"error: hilbert ranks take 1001 x 1000 steps, past MAX_RANK_STEPS = 1000000\n"
+
+
+def test_rank_step_budget_charges_a_bundle_job_one_step_per_order(capsys):
+    # P^100 over a point at order 9,901: 101 relation ranks, but the rank law takes one product a step
+    koszul = ",".join(f"{math.comb(101, q)}:0" for q in range(102))
+    argv = ["run", "--mode", "pnbundle", "--point", "--n", "100", "--koszul", koszul, "--series-order", "9901"]
+    assert main([*argv, "--json"]) == 0
+    ranks = json.loads(capsys.readouterr().out)["hilbert_ranks"]
+    assert ranks == [str(math.comb(100 + i, 100)) for i in range(9902)]
 
 
 def test_rank_work_budget_counts_relation_digits_times_the_widest_rank(monkeypatch, capsys):

@@ -9,8 +9,9 @@ two agree, at deg Q = deg E.
 """
 
 import math
+import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -94,13 +95,22 @@ def bases():
 
 
 @st.composite
-def unit_polys(draw):
+def unit_polys(draw, max_exp=6):
     base = draw(bases())
     degree = (lambda: 0) if base.is_point else (lambda: draw(st.integers(-8, 8)))
     terms = {0: base.k0(draw(st.sampled_from((1, -1))), degree())}
-    for e in range(1, draw(st.integers(0, 6)) + 1):
+    for e in range(1, draw(st.integers(0, max_exp)) + 1):
         terms[e] = base.k0(draw(st.integers(-8, 8)), degree())
     return LaurentPoly(base, terms)
+
+
+@st.composite
+def series_and_polys(draw):
+    base = draw(bases())
+    degree = (lambda: 0) if base.is_point else (lambda: draw(SMALL))
+    s = TruncatedSeries(base, [base.k0(draw(SMALL), degree()) for _ in range(draw(st.integers(0, 12)) + 1)])
+    exps = draw(st.lists(st.integers(0, 16), max_size=8))
+    return s, LaurentPoly(base, [(e, base.k0(draw(SMALL), degree())) for e in exps])
 
 
 @settings(max_examples=200, deadline=None)
@@ -118,3 +128,45 @@ def test_mul_poly_matches_reference(genus, coeffs, p_terms):
     s = TruncatedSeries(x, [x.k0(r, d) for r, d in coeffs])
     p = LaurentPoly(x, {e: x.k0(r, d) for e, (r, d) in p_terms.items()})
     assert s.mul_poly(p) == reference.mul_poly(s, p)
+
+
+# ``series_invert`` and ``mul_poly`` against their index loops: equal integer tuples, on point and curve
+# bases, from degree 0 up, at orders below the degree (the start-up window, where n < deg p) and above
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_polys(max_exp=12), st.integers(0, 14))
+def test_series_invert_matches_the_index_loop(p, order):
+    assert series_invert(p, order) == reference.series_invert_index_loop(p, order)
+
+
+@settings(max_examples=50, deadline=None)
+@given(unit_polys(max_exp=0), st.integers(0, 40))
+def test_series_invert_of_a_unit_matches_the_index_loop(p, order):
+    got = series_invert(p, order)
+    assert got == reference.series_invert_index_loop(p, order)
+    assert got.ranks() == (p.ranks[0],) + (0,) * order
+
+
+@settings(max_examples=5, deadline=None)
+@given(bases(), st.integers(0, 2**32 - 1))
+def test_both_loops_match_the_index_loops_at_order_2000_and_degree_8(base, seed):
+    rng = random.Random(seed)
+
+    def k0():
+        return base.k0(rng.randint(-9, 9), 0 if base.is_point else rng.randint(-9, 9))
+
+    p = LaurentPoly(base, {0: base.k0(rng.choice((1, -1)), 0), **{e: k0() for e in range(1, 8)}, 8: base.k0(1, 0)})
+    assert series_invert(p, 2000) == reference.series_invert_index_loop(p, 2000)
+    s = TruncatedSeries(base, [k0() for _ in range(2001)])
+    assert s.mul_poly(p) == reference.mul_poly_index_loop(s, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(series_and_polys())
+@example((TruncatedSeries(point(), [point().k0(r) for r in (2, -1, 3)]), LaurentPoly.one(point())))
+@example((TruncatedSeries(curve(1), [curve(1).k0(1, 2)] * 3), LaurentPoly.zero(curve(1))))
+def test_mul_poly_matches_the_index_loop(sp):
+    # exponents up to 16 against orders up to 12: terms past the order add nothing
+    s, p = sp
+    assert s.mul_poly(p) == reference.mul_poly_index_loop(s, p)

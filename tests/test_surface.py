@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kzero.verify
 from kzero import (
     BaseMismatch,
     RankConstraintViolation,
@@ -180,6 +181,18 @@ def test_gram_matrix_shape():
         lat = s.neron_severi()
         assert lat.gram == ((0, 0, -1), (0, 0, 0), (-1, 0, -de))
         assert lat.basis_names == ("fiber", "fiber.H", "H")
+
+
+def test_gram_is_the_nine_euler_forms():
+    # the Gram walks one normal form per column without calling euler_form: the default verify grid,
+    # F_1, and degrees of +-10^6
+    far = [(g, de, dq) for g in (0, 3) for de in (-(10**6), 10**6) for dq in (-(10**6), 0, 10**6)]
+    for g, de, dq in [*kzero.verify._grid(5, 5), (0, -1, -1), *far]:
+        s = RuledSurface.from_degrees(g, de, dq)
+        lat = s.neron_severi()
+        fib = s.fiber_class()
+        assert lat.basis == (fib, fib - fib.twist(1), s.section_class())
+        assert lat.gram == tuple(tuple(s.euler_form(r, c) for c in lat.basis) for r in lat.basis)
 
 
 def test_radical_by_brute_force_kernel():
