@@ -1,61 +1,77 @@
 """Saturated integer kernels by column Hermite reduction.
 
-Matrices are lists of equal-length rows of Python ints.  Each column of
-the matrix is carried together with the matching column of an n x n
-transform, which starts as the identity.  Row by row, Euclid's algorithm
-on the columns that are not yet pivots leaves a single nonzero entry in
-that row; its column becomes a pivot.  Every step is a unimodular column
-operation (Kannan & Bachem, SIAM J. Comput. 1979), so once every row is
-done the transform parts of the non-pivot columns are a basis of the
-full kernel lattice.  Only the column transform is carried, and its
-entries stay small: under 300 bits for a 60 x 60 matrix with entries in
-[-50, 50] and for an 80 x 80 one with entries in [-9, 9], each of rank
-deficiency 4 or 5.
+Matrices are sequences of equal-length rows of integers.  Row by row,
+Euclid's algorithm on the columns that are not yet pivots leaves one
+nonzero entry in that row; its column becomes a pivot.  Every step is a
+unimodular column operation E_t (Kannan & Bachem, SIAM J. Comput. 1979),
+so with U = E_1 ... E_T the columns rank..n-1 of U are a basis of the
+full kernel lattice.  The pivots and quotients read only the matrix, so
+the loop reduces the matrix alone and logs its operations: a swap of
+columns k and p as (k, p, 0), c_k -= q * c_p as (k, p, q).  ``_replay``
+then builds just the d = n - rank kernel columns of U: since
+U e_j = E_1 (E_2 (... E_T e_j)), each vector starts at e_j and takes the
+log from last to first, (k, p, q) mapping v_p -= q * v_k and a swap
+exchanging entries k and p.  These are the very vectors that carrying U
+beside the columns would give.
 
 Matrices of at least ``PACKED_MIN_COLUMNS`` columns run the same pivots
-and quotients on packed columns.  Each column that is not yet a pivot is
-one Python int: its entry j sits in a signed ``width``-bit slot at bit
-``width * j``, counted from the current row, so the current row is slot
-0 and a pivot entry reads as ``((P & mask) ^ half) - half``.  A column
-operation is then one big-integer ``P_k -= q * P_p`` instead of a Python
-loop over its entries, and once a row is done the remaining columns
-shift right by one slot, which is exact because their slot-0 entries
-are zero by then.  A bound b_k >= max |entry| is kept for each column
-and grows as b_k + |q| b_p with each operation, which keeps every slot
-below ``half = 2**(width - 1)`` in magnitude so the packed sum decodes
-slot by slot.  When an operation would break that, the two columns it
-involves are decoded and their bounds reset to their true maxima; only
-if the true entries need it are all columns decoded and repacked in
-wider slots.  Slots are whole bytes with ``HEADROOM_BITS`` to spare, so
-packing and decoding are one ``to_bytes``/``from_bytes`` pass after an
-offset of ``half`` in every slot makes the digits nonnegative.
+and quotients on packed columns, built by Horner's rule from the last
+row.  Each column that is not yet a pivot is one Python int: its entry j
+sits in a signed ``width``-bit slot at bit ``width * j``, counted from
+the current row, so a pivot entry reads as ``((P & mask) ^ half) -
+half``, a column operation is one big-integer ``P_k -= q * P_p``, and
+once a row is done the remaining columns shift right by one slot (their
+slot-0 entries are zero by then).  A bound b_k >= max |entry| grows as
+b_k + |q| b_p with each operation and keeps every slot below ``half =
+2**(width - 1)`` in magnitude, so the packed sum decodes slot by slot.
+When an operation would break that, the bounds of the pivot, then of
+column k, are reset to their true maxima; only if the true entries need
+it are all columns repacked in wider slots.  Slots are whole bytes with
+``HEADROOM_BITS`` to spare, so decoding is one ``to_bytes``/
+``from_bytes`` pass after an offset of ``half`` per slot.
 
 Cost model: the list loop pays one interpreter step per entry of each
-column operation; the packed path pays one step per operation plus
-big-integer work linear in the column's bits, and a pass over every
-entry to pack and to decode.  Narrow matrices have short columns and
-few operations, so packing costs more than it saves.  Measured with
-Python 3.11 on matrices with entries in [-9, 9], the packed path runs
-at 0.7x the list loop's speed at 3 columns, breaks even at about 6
-(``PACKED_MIN_COLUMNS``), and is 2x faster at 18-26 columns; on the
-60 x 60 and 80 x 80 matrices above it is 2.7x faster.  With entries of
-1,000 bits both paths spend their time in big-integer products, and
-the packed one gains nothing (about 10% slower at 20 columns).
+column operation, the packed loop one step per operation plus
+big-integer work linear in the column's bits, and the replay one step
+per operation and kernel vector.  Measured with Python 3.11 on entries
+in [-9, 9]: the packed loop is about as fast as the list loop at 4-5
+columns, 1.1x faster at 6 and 1.2-1.5x at 8-16, whatever the row count.
+Near-full-rank matrices of size 18-26 take 1-3 ms; of size 60 with
+entries in [-50, 50] and deficiency 5 0.1-0.15 s, with kernel entries
+of 271-288 bits over five seeds; of size 80 with entries in [-9, 9] and
+deficiency 4 0.2-0.4 s, with 278-310 bits.  With 1,000-bit entries both
+loops spend their time in big-integer products and tie: 18 x 20 takes
+2.3-3.1 s on either.  The replay is where wide kernels pay: with many
+kernel vectors and 10-24 rows (12 x 30, 16 x 40) it makes the whole
+kernel 1.3-1.7x slower than carrying the transform did.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from operator import index
+
+from .errors import ValidationError
+
 # fewer columns than this run the list loop: the measured crossover
 PACKED_MIN_COLUMNS = 6
 # spare bits per slot: more make the bound check fail less often but
-# the columns longer; 128 timed best of 32-256 at 18-80 columns
+# the columns longer; at sizes 18-26 and 60, 64-256 time alike and 32
+# and 384 slower
 HEADROOM_BITS = 128
 
 
 def _copy(mat) -> list[list[int]]:
-    rows = [list(map(int, row)) for row in mat]
+    rows = []
+    for i, row in enumerate(mat):
+        if type(row) is not list and not isinstance(row, Sequence):
+            raise ValidationError(f"matrix row {i} is not a sequence")
+        try:
+            rows.append(list(map(index, row)))
+        except TypeError as err:
+            raise ValidationError(f"matrix row {i}: {err}") from None
     if rows and any(len(r) != len(rows[0]) for r in rows):
-        raise ValueError("ragged matrix")
+        raise ValidationError("ragged matrix")
     return rows
 
 
@@ -64,33 +80,42 @@ def integer_kernel(mat) -> list[list[int]]:
 
     The vectors are columns of a unimodular matrix, so they span the full
     (saturated) kernel lattice, not merely a finite-index sublattice.
+    Entries must be integers (``int``, ``bool`` or any ``__index__``
+    type); anything else, or rows of unequal length, raise
+    ``ValidationError``.
     """
     rows = _copy(mat)
     m = len(rows)
     n = len(rows[0]) if m else 0
     if n >= PACKED_MIN_COLUMNS:
-        return _packed_kernel(rows, n)
-    # column j: the matrix column followed by the j-th identity column
-    cols = [[row[j] for row in rows] + [int(i == j) for i in range(n)] for j in range(n)]
+        return _replay(*_packed_log(rows, n), n)
+    cols = [[row[j] for row in rows] for j in range(n)]
+    log = []
     rank = 0
     for i in range(m):
         while True:
-            live = [k for k in range(rank, n) if cols[k][i]]
+            # the first live column of least |entry| is the pivot
+            mags = [abs(col[i]) for col in cols[rank:]]
+            live = n - rank - mags.count(0)
             if not live:
                 break
-            p = min(live, key=lambda k: abs(cols[k][i]))
-            cols[rank], cols[p] = cols[p], cols[rank]
-            pivot = cols[rank]
-            if len(live) == 1:
+            p = rank + mags.index(min(filter(None, mags)))
+            if p != rank:
+                cols[rank], cols[p] = cols[p], cols[rank]
+                log.append((rank, p, 0))
+            if live == 1:
                 rank += 1
                 break
             # entries above row i are zero in every non-pivot column
+            pivot = cols[rank][i:]
+            lead = pivot[0]
             for k in range(rank + 1, n):
                 col = cols[k]
-                q = col[i] // pivot[i]
+                q = col[i] // lead
                 if q:
-                    col[i:] = [x - q * y for x, y in zip(col[i:], pivot[i:])]
-    return [col[m:] for col in cols[rank:]]
+                    col[i:] = [x - q * y for x, y in zip(col[i:], pivot)]
+                    log.append((k, rank, q))
+    return _replay(log, rank, n)
 
 
 def _slot_width(bits: int) -> int:
@@ -117,28 +142,33 @@ def _unpack(packed: int, slots: int, width: int) -> list[int]:
     return [int.from_bytes(data[j : j + w], "little") - half for j in range(0, slots * w, w)]
 
 
-def _packed_kernel(rows: list[list[int]], n: int) -> list[list[int]]:
-    """``integer_kernel``'s loop on packed columns: the same pivots and quotients."""
-    m = len(rows)
-    slots = m + n
-    cols = [[row[j] for row in rows] for j in range(n)]
-    # the transform's identity column j is a 1 in slot m + j
-    bound = [max([1, *map(abs, col)]) for col in cols]
+def _packed_log(rows: list[list[int]], n: int) -> tuple[list[tuple[int, int, int]], int]:
+    """``integer_kernel``'s loop on packed columns: the same log and rank."""
+    slots = len(rows)
+    bound = [max(map(abs, col)) for col in zip(*rows)]
     width = _slot_width(max(bound).bit_length())
-    packed = [_pack(col, width) + (1 << width * (m + j)) for j, col in enumerate(cols)]
+    # column j is sum rows[i][j] * 2^(width*i), by Horner's rule from the last row
+    packed = [0] * n
+    for row in reversed(rows):
+        packed = [(P << width) + x for P, x in zip(packed, row)]
+    log = []
     rank = 0
-    for _ in range(m):
+    while slots:
         half = 1 << (width - 1)
         mask = 2 * half - 1
         lead = [0] * rank + [((P & mask) ^ half) - half for P in packed[rank:]]
         while True:
-            live = [k for k in range(rank, n) if lead[k]]
+            mags = list(map(abs, lead[rank:]))
+            live = n - rank - mags.count(0)
             if not live:
                 break
-            p = min(live, key=lambda k: abs(lead[k]))
-            for arr in (packed, bound, lead):
-                arr[rank], arr[p] = arr[p], arr[rank]
-            if len(live) == 1:
+            p = rank + mags.index(min(filter(None, mags)))
+            if p != rank:
+                packed[rank], packed[p] = packed[p], packed[rank]
+                bound[rank], bound[p] = bound[p], bound[rank]
+                lead[rank], lead[p] = lead[p], lead[rank]
+                log.append((rank, p, 0))
+            if live == 1:
                 rank += 1
                 break
             pivot, b_p, lead_p = packed[rank], bound[rank], lead[rank]
@@ -148,10 +178,14 @@ def _packed_kernel(rows: list[list[int]], n: int) -> list[list[int]]:
                     continue
                 b = bound[k] + abs(q) * b_p
                 if b >= half:
+                    # reset the bounds of the pivot, then of column k, to their true maxima
                     b_p = bound[rank] = max(map(abs, _unpack(pivot, slots, width)))
-                    bound[k] = max(map(abs, _unpack(packed[k], slots, width)))
                     b = bound[k] + abs(q) * b_p
                     if b >= half:
+                        bound[k] = max(map(abs, _unpack(packed[k], slots, width)))
+                        b = bound[k] + abs(q) * b_p
+                    if b >= half:
+                        # the true entries need wider slots
                         cols = [_unpack(P, slots, width) for P in packed[rank:]]
                         bound[rank:] = [max(map(abs, col)) for col in cols]
                         width = _slot_width(b.bit_length())
@@ -161,7 +195,23 @@ def _packed_kernel(rows: list[list[int]], n: int) -> list[list[int]]:
                 packed[k] -= q * pivot
                 bound[k] = b
                 lead[k] -= q * lead_p
+                log.append((k, rank, q))
         for k in range(rank, n):
             packed[k] >>= width
         slots -= 1
-    return [_unpack(P, n, width) for P in packed[rank:]]
+    return log, rank
+
+
+def _replay(log: list[tuple[int, int, int]], rank: int, n: int) -> list[list[int]]:
+    """Columns rank..n-1 of U = E_1 ... E_T, the product of the logged operations."""
+    basis = []
+    for j in range(rank, n):
+        v = [0] * n
+        v[j] = 1
+        for k, p, q in reversed(log):
+            if not q:
+                v[k], v[p] = v[p], v[k]
+            elif x := v[k]:
+                v[p] -= q * x
+        basis.append(v)
+    return basis

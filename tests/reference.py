@@ -16,9 +16,12 @@ that closed form of R^1 f_*; the library no longer uses it.
 integer loops of ``kzero.series`` as they were before they read the
 series by negative index and by zip; the tests require equal tuples.
 
-``integer_kernel_reference`` is the list form of ``kzero.intlinalg``'s
-column Hermite reduction, which the library runs on packed columns for
-wide matrices; the tests require the very same kernel vectors.
+``integer_kernel_reference`` is ``kzero.intlinalg``'s column Hermite
+reduction on lists, with the n x n transform carried beside each column
+the whole way.  The library reduces the matrix alone, on lists or packed
+columns, and replays its log of column operations to build only the
+kernel columns of that transform, so this is the replay's oracle: the
+tests require the very same kernel vectors.
 """
 
 from itertools import count

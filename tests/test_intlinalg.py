@@ -2,17 +2,18 @@
 
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from sympy import ZZ, Matrix
+from sympy import ZZ, Integer, Matrix
 from sympy.matrices.normalforms import smith_normal_form
 from sympy.polys.matrices import DomainMatrix
 
-from kzero import integer_kernel, intlinalg
+from kzero import ValidationError, integer_kernel, intlinalg
 from reference import integer_kernel_reference
 
 THRESHOLD = intlinalg.PACKED_MIN_COLUMNS
@@ -226,3 +227,75 @@ def mixed_matrices(draw):
 @given(mixed_matrices())
 def test_kernel_matches_the_list_loop(a):
     assert integer_kernel(a) == integer_kernel_reference(a)
+
+
+# The kernel vectors are replayed from the log of column operations, not
+# carried beside the columns; the reference carries the whole transform,
+# so equal vectors check the replay as well as the pivots.
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [2.5, 2.0, "3", Fraction(1, 2), Fraction(4, 1), Decimal("7"), None, [1]],
+    ids=["float", "integral-float", "str", "Fraction", "integral-Fraction", "Decimal", "None", "list"],
+)
+def test_non_integer_entries_are_refused(entry):
+    for a in ([[entry, 1]], [[1, 2], [3, entry]], [[1] * THRESHOLD, [entry] + [1] * (THRESHOLD - 1)]):
+        with pytest.raises(ValidationError, match="row"):
+            integer_kernel(a)
+
+
+def test_rows_that_are_not_sequences_are_refused():
+    for a in ([5], [[1, 2], 3], [{1, 2}], [iter([1, 2])], [{0: 1, 1: 2}]):
+        with pytest.raises(ValidationError, match="not a sequence"):
+            integer_kernel(a)
+
+
+def test_ragged_matrices_are_validation_errors():
+    for a in ([[1, 2], [3]], [[1], [2, 3]], [[], [1]], [[1] * THRESHOLD, [1] * (THRESHOLD + 1)]):
+        with pytest.raises(ValidationError, match="ragged"):
+            integer_kernel(a)
+
+
+def test_integer_types_are_read_as_their_index():
+    a = [[True, False, 2], (Integer(3), -1, 5)]
+    assert integer_kernel(a) == integer_kernel([[1, 0, 2], [3, -1, 5]])
+    assert all(type(x) is int for vec in integer_kernel(a) for x in vec)
+    # the row that used to be truncated: 2.5 * 1 + 1 * (-2) != 0
+    with pytest.raises(ValidationError):
+        integer_kernel([[2.5, 1]])
+
+
+@st.composite
+def replay_matrices(draw):
+    """Up to 9 x 14, entries small or +-2^80, with zero rows; short wide ones leave many kernel vectors."""
+    m, n = draw(st.integers(0, 9)), draw(st.integers(0, 14))
+    entry = st.one_of(st.integers(-9, 9), st.sampled_from((2**80, -(2**80), 2**80 - 1)), st.integers(-(2**80), 2**80))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    if rows and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * n)
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(replay_matrices())
+@example([[1, 2**80] + [0] * 12])
+@example([[int(i == j) for j in range(9)] for i in range(9)])
+@example([[0] * 14, [3] * 14])
+@example([[(i * j) % 7 - 3 for j in range(14)] for i in range(6)])
+def test_replay_after_either_loop_matches_the_transform_carrying_reference(a):
+    expected = integer_kernel_reference(a)
+    for threshold in (THRESHOLD, 1, 10**9):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(intlinalg, "PACKED_MIN_COLUMNS", threshold)
+            assert integer_kernel(a) == expected
+
+
+def test_kernels_of_benchmark_shaped_matrices_match_the_reference():
+    rng = random.Random("near full rank 18-26")
+    for n in range(18, 27):
+        for deficiency in (1, 2, 3):
+            a = near_full_rank(rng, n, deficiency, 9)
+            kernel = integer_kernel(a)
+            assert kernel == integer_kernel_reference(a)
+            assert len(kernel) == deficiency
