@@ -19,7 +19,7 @@ Rf_*O(-j) = 0 for 1 <= j <= n, so the pushforward is NF's constant term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .base import BaseSpace, K0Class
@@ -39,6 +39,7 @@ class PnBundleSpec:
     base: BaseSpace
     n: int
     koszul: tuple[K0Class, ...]
+    _relation: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
@@ -60,15 +61,12 @@ class PnBundleSpec:
             raise ValidationError(
                 f"E_0 must be the identity class (1,0) of a connected algebra, got {self.koszul[0]!r}"
             )
+        rel = [(-1) ** q * x for q, c in enumerate(self.koszul) for x in (c.rank, c.degree)]
+        object.__setattr__(self, "_relation", (rel[::2], rel[1::2]))  # sum_q (-1)^q E_q T^q: rank and degree lists
 
     def relation_poly(self) -> LaurentPoly:
         """The alternating sum sum_q (-1)^q E_q T^q generating the ideal."""
-        return LaurentPoly._dense(self.base, 0, *_relation_lists(self.koszul))
-
-
-def _relation_lists(koszul) -> tuple[list[int], list[int]]:
-    """Rank and degree lists of sum_q (-1)^q E_q T^q."""
-    return [(-1) ** q * c.rank for q, c in enumerate(koszul)], [(-1) ** q * c.degree for q, c in enumerate(koszul)]
+        return LaurentPoly._dense(self.base, 0, *self._relation)
 
 
 @dataclass(frozen=True)
@@ -122,7 +120,7 @@ def reduce_poly(p: LaurentPoly, spec: PnBundleSpec) -> BundleClass:
     """
     if p.base != spec.base:
         raise BaseMismatch(f"polynomial over {p.base!r}, spec over {spec.base!r}")
-    ranks, degrees = _normal_form(_relation_lists(spec.koszul), p.lo, p.ranks, p.degrees)
+    ranks, degrees = _normal_form(spec._relation, p.lo, p.ranks, p.degrees)
     return BundleClass(spec, tuple(map(spec.base.k0, ranks, degrees)))
 
 

@@ -13,18 +13,18 @@ A job is a JSON document with keys ``mode`` (``ruled`` | ``pnbundle`` |
 ``{"kind": "curve", "genus": G}``), ``parameters`` (per mode: ``deg_e``
 and ``deg_q``; ``n`` and ``koszul`` as a list of [rank, degree] pairs;
 ``relation`` as a list of integer coefficients), and an optional
-``series_order`` (default 32, at most 100000; a larger order is a
-validation error).  Flags may supply the same fields; on
-conflict the JSON document wins.  Every integer in an emitted report is
-a decimal string, so arbitrary-precision values survive consumers that
-parse JSON numbers as doubles.  Hilbert ranks are exact ``Decimal``
-integers (``str`` is linear in a Decimal's digits, quadratic in an
-int's): binomial(n + i, n) in bundle modes, a recurrence on the relation
-in point mode.  A job of more than MAX_RANK_STEPS = 1000000 steps
-(series_order per nonzero relation rank past T^0 in point mode, one per
-order in bundle modes), of more than MAX_RANK_WORK = 5000000000 digit
-products in the recurrence, or whose ranks pass MAX_REPORT_DIGITS =
-30000000 digits is a validation error.
+``series_order`` (default 32, at most MAX_SERIES_ORDER = 100000).  Flags
+may supply the same fields; on conflict the JSON document wins.  Every
+integer in an emitted report is a decimal string, so arbitrary-precision
+values survive consumers that parse JSON numbers as doubles.  Hilbert
+ranks are exact ``Decimal`` integers (``str`` is linear in a Decimal's
+digits, quadratic in an int's).  A job past a budget is a validation
+error.  Point mode runs a recurrence on the relation, bounded by
+MAX_RANK_STEPS = 1000000 steps (series_order per nonzero relation rank
+past T^0), MAX_RANK_WORK = 5000000000 digit products and
+MAX_REPORT_DIGITS = 30000000 digits.  Bundle modes take binomial(n + i,
+n) by the rank law, one product a step, bounded by MAX_SERIES_ORDER and
+MAX_REPORT_DIGITS.
 
 ``--json`` writes the layout of ``json.dumps(report, indent=2)``.  The
 rank list is written as joined text: its strings are digits and '-'
@@ -64,7 +64,7 @@ DEFAULT_SERIES_ORDER = 32
 MAX_SERIES_ORDER = 100_000
 MAX_GRID_SURFACES = 100_000
 MAX_REPORT_DIGITS = 30_000_000  # digits of all Hilbert ranks in one report
-MAX_RANK_STEPS = 1_000_000  # series_order * products a step: one by the rank law, one per nonzero point relation rank
+MAX_RANK_STEPS = 1_000_000  # point jobs: order * nonzero ranks past T^0; bundle jobs stop at MAX_SERIES_ORDER
 MAX_RANK_WORK = 5_000_000_000  # point ranks: sum over steps of relation digits * widest rank digits
 # integers as Decimals: any rounding, overflow or invalid operation traps
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded, Overflow, InvalidOperation])
@@ -168,13 +168,13 @@ def _hilbert_ranks(relation: LaurentPoly, order: int, n: int | None) -> list[Dec
     relation (n None) is free: b_0 = 1, b_i = -sum_k c_k * b_(i-k) over its ranks c_k, each step weighed in digits.
     """
     zero, digits, widest, widests = Decimal(), 1, 1, 0
-    terms = [(k, Decimal(-c)) for k, c in enumerate(relation.ranks) if k and c]
-    products = 1 if n is not None else len(terms)  # per step: the rank law's one, or one per relation rank
-    if order * products > MAX_RANK_STEPS:
-        raise ValidationError(
-            f"hilbert ranks take {order} x {products} steps, past MAX_RANK_STEPS = {MAX_RANK_STEPS}"
-        )
-    widests_limit = MAX_RANK_WORK // max(1, sum(c.adjusted() + 1 for _, c in terms))  # per digit of the c_k
+    if n is None:  # only the free recurrence is charged: one product per nonzero c_k a step, the rank law's one
+        terms = [(k, Decimal(-c)) for k, c in enumerate(relation.ranks) if k and c]
+        if order * len(terms) > MAX_RANK_STEPS:
+            raise ValidationError(
+                f"hilbert ranks take {order} x {len(terms)} steps, past MAX_RANK_STEPS = {MAX_RANK_STEPS}"
+            )
+        widests_limit = MAX_RANK_WORK // max(1, sum(c.adjusted() + 1 for _, c in terms))  # per digit of the c_k
     ranks = [zero] * (len(relation.ranks) - 1) + [Decimal(1)]  # b_i = 0 for i < 0 pads the front
     try:
         with localcontext(_EXACT):

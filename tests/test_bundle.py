@@ -1,5 +1,6 @@
 """Quotient-ring normal forms, pullback, twist, and group structure."""
 
+import dataclasses
 import math
 import random
 
@@ -297,3 +298,30 @@ def test_point_quotient_is_free_by_presentation_oracle():
         d = smith_normal_form(Matrix(rows), domain=ZZ)
         invariants = [d[i, i] for i in range(m)]
         assert invariants == [1] * m
+
+
+# -- the cached relation ----------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(bundle_specs(), st.data(), st.integers(-6, 6))
+def test_the_spec_keeps_the_alternating_koszul_lists_unchanged(spec, data, k):
+    want = (
+        [(-1) ** q * c.rank for q, c in enumerate(spec.koszul)],
+        [(-1) ** q * c.degree for q, c in enumerate(spec.koszul)],
+    )
+    assert spec._relation == want
+    c = reduce_poly(data.draw(laurent_polys(spec.base)), spec)
+    assert c.twist(k).twist(-k) == c == twist(twist(c, -k), k)
+    assert spec.relation_poly() == LaurentPoly(spec.base, {q: (-1) ** q * e for q, e in enumerate(spec.koszul)})
+    assert reduce_poly(spec.relation_poly().shift(k), spec).is_zero()
+    assert spec._relation == want
+
+
+def test_the_cached_relation_stays_out_of_eq_hash_and_repr():
+    a, b = point_pn_spec(2), point_pn_spec(2)
+    object.__setattr__(b, "_relation", ([1], [0]))
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert "_relation" not in repr(a)
+    (rel,) = (f for f in dataclasses.fields(PnBundleSpec) if f.name == "_relation")
+    assert (rel.init, rel.repr, rel.compare) == (False, False, False)

@@ -681,3 +681,17 @@ def test_reused_parser_leaks_no_state_between_calls(tmp_path, monkeypatch, capsy
         fresh = _kzero_child(argv, timeout=120)
         assert (fresh.returncode, fresh.stdout.decode()) == (code, captured.out), argv
         assert fresh.stderr.decode() == captured.err, argv
+
+
+@pytest.mark.parametrize("budget", ["MAX_RANK_STEPS", "MAX_RANK_WORK"])
+def test_bundle_jobs_are_not_charged_the_point_budgets(monkeypatch, capsys, budget):
+    monkeypatch.setattr(kzero.cli, budget, 1)
+    jobs = {
+        "ruled": ["--mode", "ruled", "--genus", "1", "--deg-e", "3", "--deg-q", "-2"],
+        "pnbundle": ["--mode", "pnbundle", "--point", "--n", "2", "--koszul", "1:0,3:0,3:0,1:0"],
+    }
+    for n, flags in zip((1, 2), jobs.values()):
+        assert main(["run", *flags, "--series-order", "40", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["hilbert_ranks"] == [str(math.comb(n + i, n)) for i in range(41)]
+    assert main(["run", "--mode", "point", "--relation", "1,-2,1", "--series-order", "40"]) == 1
+    assert f" {budget} = 1" in capsys.readouterr().err

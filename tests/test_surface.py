@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kzero.bundle
 import kzero.verify
 from kzero import (
     BaseMismatch,
@@ -270,3 +271,43 @@ def test_classes_are_accepted_by_an_equal_surface_and_refused_by_another():
         other.pushforward(a)
     with pytest.raises(BaseMismatch, match="different surface"):
         s.euler_form(a, other.fiber_class())
+
+
+FAR = 10**6
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        list(kzero.verify._grid(5, 5)),
+        [(0, -1, -1)],  # F_1
+        [(g, de, dq) for g in (0, 3) for de in (-FAR, FAR) for dq in (-FAR, FAR)],
+    ],
+    ids=["default grid", "F_1", "degrees of +-10^6"],
+)
+def test_surfaces_and_their_bundle_specs_hold_one_relation_layout(grid):
+    for g, de, dq in grid:
+        s = RuledSurface.from_degrees(g, de, dq)
+        spec = s.bundle_spec()
+        assert s._relation == spec._relation == ([1, -2, 1], [0, -de, dq])
+        assert s.relation_poly() == spec.relation_poly()
+
+
+def test_building_a_surface_builds_no_bundle_spec(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a bundle spec was built")
+
+    monkeypatch.setattr(kzero.bundle.PnBundleSpec, "__post_init__", refuse)
+    x = curve(2)
+    s = RuledSurface(2, x.k0(2, 3), x.k0(1, -1))
+    assert RuledSurface.from_degrees(2, 3, -1) == s
+    assert s.neron_severi().ns_gram == ((0, 1), (1, 3))
+    with pytest.raises(AssertionError):
+        s.bundle_spec()
+
+
+def test_the_cached_relation_stays_out_of_eq_hash_and_repr():
+    a, b = RuledSurface.from_degrees(1, 2, -1), RuledSurface.from_degrees(1, 2, -1)
+    object.__setattr__(b, "_relation", ([1], [0]))
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert "_relation" not in repr(a)

@@ -1,11 +1,13 @@
 """Exact check counts of the ``kzero verify`` suites, and what they catch."""
 
 import random
+from pathlib import Path
 
 import pytest
 
 import kzero.verify
 from kzero import LaurentPoly, RuledSurface, TruncatedSeries, curve, series_invert
+from kzero.cli import main
 from kzero.series import ruled_piece
 from kzero.verify import (
     INVERSION_ORDER,
@@ -95,3 +97,40 @@ def test_passing_inversion_checks_format_no_polynomial(monkeypatch):
     monkeypatch.setattr(LaurentPoly, "__repr__", lambda p: calls.append(1) or original(p))
     res = kzero.verify.inversion_suite()
     assert (res.passed, res.failed, len(calls)) == (INVERSION_TRIALS, 0, 0)
+
+
+def _raise(*args):
+    raise ArithmeticError("broken")
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    [(kzero.verify, "series_invert"), (RuledSurface, "from_degrees"), (RuledSurface, "hilbert_coeff")],
+)
+def test_a_pair_that_raises_fails_both_of_its_rank_law_checks(monkeypatch, owner, name):
+    monkeypatch.setattr(owner, name, _raise)
+    res = rank_law_suite()
+    assert (res.passed, res.failed) == (0, 242)
+    assert res.failures[:2] == [
+        "rank law raised at (deg E=-5, deg Q=-5): ArithmeticError('broken')",
+        "series inversion unavailable at (deg E=-5, deg Q=-5)",
+    ]
+
+
+def test_the_failing_rank_law_count_is_the_grid_count(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import oracles
+
+    monkeypatch.setattr(kzero.verify, "series_invert", _raise)
+    for dmax in (0, 1, 5):
+        res = rank_law_suite(dmax)
+        assert (res.passed, res.failed) == (0, oracles.verify_check_counts(0, dmax)["hilbert rank law"])
+
+
+def test_verify_exits_two_when_a_rank_law_check_raises(monkeypatch, capsys):
+    monkeypatch.setattr(kzero.verify, "series_invert", _raise)
+    assert main(["verify", "--grid", "0,0"]) == 2
+    out = capsys.readouterr().out
+    assert "hilbert rank law: passed=0 failed=2\n" in out
+    assert "  FAIL series inversion unavailable at (deg E=0, deg Q=0)\n" in out
+    assert out.endswith("verification FAILED (202 failures)\n")
