@@ -14,7 +14,9 @@ A job is a JSON document with keys ``mode`` (``ruled`` | ``pnbundle`` |
 and ``deg_q``; ``n`` and ``koszul`` as a list of [rank, degree] pairs;
 ``relation`` as a list of integer coefficients), and an optional
 ``series_order`` (default 32, at most MAX_SERIES_ORDER = 100000).  Flags
-may supply the same fields; on conflict the JSON document wins.  Every
+may supply the same fields; on conflict the JSON document wins.  A job
+document may hold at most MAX_SPEC_BYTES = 1048576 bytes; a longer one
+is a parse error, read no further than one byte past the limit.  Every
 integer in an emitted report is a decimal string, so arbitrary-precision
 values survive consumers that parse JSON numbers as doubles.  Hilbert
 ranks are exact ``Decimal`` integers (``str`` is linear in a Decimal's
@@ -63,6 +65,7 @@ SCHEMA_VERSION = 1
 DEFAULT_SERIES_ORDER = 32
 MAX_SERIES_ORDER = 100_000
 MAX_GRID_SURFACES = 100_000
+MAX_SPEC_BYTES = 1_048_576  # bytes of a --spec job document (1 MiB)
 MAX_REPORT_DIGITS = 30_000_000  # digits of all Hilbert ranks in one report
 MAX_RANK_STEPS = 1_000_000  # point jobs: order * nonzero ranks past T^0; bundle jobs stop at MAX_SERIES_ORDER
 MAX_RANK_WORK = 5_000_000_000  # point ranks: sum over steps of relation digits * widest rank digits
@@ -287,10 +290,17 @@ def _job_from_args(args) -> JobSpec:
     doc = {}
     if args.spec is not None:
         try:
-            with open(args.spec, "r", encoding="utf-8") as handle:
-                doc = json.load(handle)
+            with open(args.spec, "rb") as handle:
+                # one byte past the budget tells an over-long file; one read of it all would allocate it all
+                data, budget = b"", MAX_SPEC_BYTES + 1
+                while len(data) < budget and (piece := handle.read(min(1 << 16, budget - len(data)))):
+                    data += piece
         except OSError as exc:
             raise ParseError(f"cannot read {args.spec}: {exc}") from None
+        if len(data) > MAX_SPEC_BYTES:
+            raise ParseError(f"job document {args.spec} passes MAX_SPEC_BYTES = {MAX_SPEC_BYTES} bytes")
+        try:
+            doc = json.loads(data.decode("utf-8"))
         except (ValueError, RecursionError) as exc:  # also bad UTF-8, deep nesting and over-long integers
             raise ParseError(f"invalid JSON in {args.spec}: {exc}") from None
         if not isinstance(doc, dict):

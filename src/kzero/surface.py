@@ -31,13 +31,14 @@ twist invariant and well defined in its first argument (a two-sided
 model needs the left and right degrees of Van den Bergh, Trans. AMS 2012).
 
 Intersection numbers of curve-like (total rank zero) classes are the
-negated Euler pairing.  On the rank-zero part of the lattice, the
-radical of the pairing is spanned by fiber - fiber(-1); modding it out
-leaves a rank-2 lattice with basis a fiber and the section class
-H = [O] - [O(-1)], whose intersection matrix is [[0, 1], [1, deg E]]:
-its 3x3 Gram costs one normal form per column, walked down each row.
-The integer e = -H.H = -deg E is the analogue of the classical
-numerical invariant of a ruled surface.
+negated Euler pairing.  On the rank-zero part of the lattice,
+fiber - fiber(-1) is a point class, so it spans the two-sided radical
+of the pairing: ``neron_severi`` reads this off the 3x3 Gram (one normal
+form per column, walked down each row) by exact checks, not an integer
+kernel.  Modding it out leaves a rank-2 lattice with basis a fiber and
+the section class H = [O] - [O(-1)], whose intersection matrix is
+[[0, 1], [1, deg E]].  The integer e = -H.H = -deg E is the analogue of
+the classical numerical invariant of a ruled surface.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from dataclasses import dataclass, field
 from .base import CURVE, K0Class, curve
 from .bundle import PnBundleSpec, _normal_form
 from .errors import BaseMismatch, InvariantViolation
-from .intlinalg import integer_kernel
 from .series import LaurentPoly, _check_ruled_pair, ruled_piece
 
 
@@ -150,8 +150,9 @@ class RuledSurface:
 
         The rank-zero subgroup of the surface's Grothendieck lattice has
         basis {fiber, fiber - fiber(-1), H}.  The two-sided radical of
-        the Euler pairing is computed as the integer kernel of the Gram
-        matrix stacked on its transpose; the quotient is the
+        the Euler pairing is Z*(0, 1, 0), read off the Gram: its middle
+        row and column are zero, and its outer 2x2 block (fiber and H) is
+        nonsingular, or InvariantViolation is raised.  The quotient is the
         Neron-Severi lattice with basis {fiber, H} and the intersection
         (negated Euler) pairing.
         """
@@ -163,18 +164,11 @@ class RuledSurface:
         # every basis class starts at T^0, so NF(c) starts each row's walk down column c
         columns = [_normal_form(self._relation, 0, c.rep.ranks, c.rep.degrees) for c in basis]
         gram = tuple(tuple(self._walk(nf, r.rep) for nf in columns) for r in basis)
-        stacked = [list(row) for row in gram]
-        stacked += [[gram[i][j] for i in range(3)] for j in range(3)]
-        radical = tuple(tuple(vec) for vec in integer_kernel(stacked))
-        # {fiber, r, H} is a basis of the rank-zero lattice exactly when the
-        # one radical vector r has det [(1,0,0), r, (0,0,1)] = r[1] = +-1
-        if len(radical) != 1 or radical[0][1] not in (1, -1):
+        (uu, uv, uw), middle_row, (wu, wv, ww) = gram
+        if any(middle_row) or uv or wv or uu * ww == uw * wu:
             raise InvariantViolation("radical does not complement the fiber and section classes")
-        ns_gram = (
-            (-gram[0][0], -gram[0][2]),
-            (-gram[2][0], -gram[2][2]),
-        )
-        return IntersectionLattice(basis, names, gram, radical, (u, w), ("fiber", "H"), ns_gram)
+        ns_gram = ((-uu, -uw), (-wu, -ww))
+        return IntersectionLattice(basis, names, gram, ((0, 1, 0),), (u, w), ("fiber", "H"), ns_gram)
 
     def _require_own(self, c: SurfaceClass) -> None:
         if c.surface is not self and c.surface != self:
@@ -239,9 +233,9 @@ class SurfaceClass:
 class IntersectionLattice:
     """Gram data of the rank-zero lattice of a ruled surface.
 
-    ``gram`` is the Euler pairing on ``basis``; ``radical_basis`` holds
-    coordinate vectors (in that basis) spanning the two-sided radical;
-    ``ns_gram`` is the intersection pairing on the quotient basis
+    ``gram`` is the Euler pairing on ``basis``; ``radical_basis``,
+    ((0, 1, 0),), spans the two-sided radical in coordinates of that
+    basis; ``ns_gram`` is the intersection pairing on the quotient basis
     ``ns_basis`` = (fiber, H).
     """
 

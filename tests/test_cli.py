@@ -16,7 +16,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kzero.cli
-import kzero.surface
 import kzero.verify
 from kzero import (
     InvariantViolation,
@@ -36,6 +35,7 @@ from kzero.cli import (
     MAX_RANK_WORK,
     MAX_REPORT_DIGITS,
     MAX_SERIES_ORDER,
+    MAX_SPEC_BYTES,
     _hilbert_ranks,
     _report_json,
     jobspec_from_dict,
@@ -265,8 +265,9 @@ def test_series_order_limit(capsys):
 
 def test_internal_invariant_failure_exits_three_without_a_traceback(monkeypatch, capsys):
     assert not issubclass(InvariantViolation, ValueError)  # never read as bad input
-    # a radical vector with middle entry 2 does not complement fiber and H
-    monkeypatch.setattr(kzero.surface, "integer_kernel", lambda mat: [[0, 2, 0]])
+    # a pairing off by one puts nonzero entries in the Gram's middle row and column
+    walk = RuledSurface._walk
+    monkeypatch.setattr(RuledSurface, "_walk", lambda self, nf, a: walk(self, nf, a) + 1)
     assert main(["run", "--mode", "ruled", "--genus", "0", "--deg-e", "-1", "--deg-q", "-1"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("internal error: radical does not complement") and "Traceback" not in err
@@ -351,8 +352,9 @@ def test_rank_step_budget_rejects_one_step_past_it_quickly():
     assert proc.stderr == b"error: hilbert ranks take 1001 x 1000 steps, past MAX_RANK_STEPS = 1000000\n"
 
 
-def test_rank_step_budget_charges_a_bundle_job_one_step_per_order(capsys):
-    # P^100 over a point at order 9,901: 101 relation ranks, but the rank law takes one product a step
+def test_rank_step_budget_does_not_charge_bundle_jobs(capsys):
+    # P^100 over a point at order 9,901: 101 relation ranks times the order is past MAX_RANK_STEPS, but
+    # bundle ranks come from the rank law, one product a step, and are not charged steps
     koszul = ",".join(f"{math.comb(101, q)}:0" for q in range(102))
     argv = ["run", "--mode", "pnbundle", "--point", "--n", "100", "--koszul", koszul, "--series-order", "9901"]
     assert main([*argv, "--json"]) == 0
@@ -459,6 +461,31 @@ def test_unreadable_job_documents_are_parse_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"error: invalid JSON in {path}: "), name
         assert "Traceback" not in err
+
+
+def test_a_job_document_may_hold_max_spec_bytes_and_no_more(monkeypatch, tmp_path, capsys):
+    assert MAX_SPEC_BYTES == 1_048_576
+    text = json.dumps(ruled_doc())
+    monkeypatch.setattr(kzero.cli, "MAX_SPEC_BYTES", len(text))
+    path = tmp_path / "job.json"
+    path.write_text(text)  # exactly the limit
+    assert main(["run", "--spec", str(path)]) == 0
+    capsys.readouterr()
+    path.write_text(text + " ")
+    assert main(["run", "--spec", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: job document {path} passes MAX_SPEC_BYTES = {len(text)} bytes\n"
+    with pytest.raises(ParseError):
+        kzero.cli._job_from_args(kzero.cli._parser().parse_args(["run", "--spec", str(path)]))
+
+
+def test_an_endless_job_document_is_refused_quickly():
+    # json.load on /dev/zero would grow without bound; a child process under a memory limit keeps a
+    # broken budget from taking the machine
+    start = time.perf_counter()
+    proc = _kzero_child(["run", "--spec", "/dev/zero"], timeout=60, preexec_fn=_limit_memory)
+    assert time.perf_counter() - start < 5
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == b"error: job document /dev/zero passes MAX_SPEC_BYTES = 1048576 bytes\n"
 
 
 def test_non_object_parameters_in_a_job_file_are_parse_errors(tmp_path, capsys):

@@ -11,10 +11,12 @@ import kzero.bundle
 import kzero.verify
 from kzero import (
     BaseMismatch,
+    InvariantViolation,
     RankConstraintViolation,
     RuledSurface,
     curve,
     euler_form_base,
+    integer_kernel,
 )
 
 
@@ -213,6 +215,46 @@ def test_radical_by_brute_force_kernel():
         assert solutions == expected
         assert len(lat.radical_basis) == 1
         assert tuple(map(abs, lat.radical_basis[0])) == (0, 1, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 20), st.integers(-(10**6), 10**6), st.integers(-(10**6), 10**6))
+def test_the_radical_read_off_the_gram_is_the_integer_kernel(g, de, dq):
+    # the route neron_severi no longer takes: the saturated kernel of the Gram stacked on its transpose
+    lat = RuledSurface.from_degrees(g, de, dq).neron_severi()
+    kernel = integer_kernel([*lat.gram, *zip(*lat.gram)])
+    assert lat.radical_basis == ((0, 1, 0),)
+    assert kernel in ([[0, 1, 0]], [[0, -1, 0]])
+
+
+def _with_gram(monkeypatch, gram):
+    """Make neron_severi walk ``gram``: the nine pairings are taken row by row."""
+    entries = iter(x for row in gram for x in row)
+    monkeypatch.setattr(RuledSurface, "_walk", lambda self, nf, a: next(entries))
+    return RuledSurface.from_degrees(0, -1, -1)
+
+
+def test_a_nonsingular_outer_block_need_not_be_unimodular(monkeypatch):
+    # the radical needs rank 2, not det +-1: det [[2, 3], [1, 5]] = 7
+    lat = _with_gram(monkeypatch, ((2, 0, 3), (0, 0, 0), (1, 0, 5))).neron_severi()
+    assert lat.radical_basis == ((0, 1, 0),)
+    assert lat.ns_gram == ((-2, -3), (-1, -5))
+
+
+@pytest.mark.parametrize(
+    "gram",
+    [
+        ((0, 0, -1), (1, 0, 0), (-1, 0, 1)),  # the middle row is nonzero
+        ((0, 3, -1), (0, 0, 0), (-1, 0, 1)),  # the middle column is nonzero in the fiber row
+        ((0, 0, -1), (0, 0, 0), (-1, 2, 1)),  # and in the H row
+        ((1, 0, 2), (0, 0, 0), (2, 0, 4)),  # the outer block is singular
+    ],
+    ids=["middle row", "middle column, fiber row", "middle column, H row", "singular outer block"],
+)
+def test_each_failed_gram_check_is_an_invariant_violation(monkeypatch, gram):
+    s = _with_gram(monkeypatch, gram)
+    with pytest.raises(InvariantViolation, match="radical does not complement the fiber and section classes"):
+        s.neron_severi()
 
 
 def test_radical_pairs_to_zero_with_rank_zero_classes():

@@ -1,5 +1,6 @@
 """Exact check counts of the ``kzero verify`` suites, and what they catch."""
 
+import dataclasses
 import random
 from pathlib import Path
 
@@ -134,3 +135,29 @@ def test_verify_exits_two_when_a_rank_law_check_raises(monkeypatch, capsys):
     assert "hilbert rank law: passed=0 failed=2\n" in out
     assert "  FAIL series inversion unavailable at (deg E=0, deg Q=0)\n" in out
     assert out.endswith("verification FAILED (202 failures)\n")
+
+
+def test_a_wrong_kernel_fails_exactly_the_radical_checks(monkeypatch, capsys):
+    # the radical suite checks neron_severi's radical against its own integer kernel
+    monkeypatch.setattr(kzero.verify, "integer_kernel", lambda mat: [[0, 2, 0]])
+    assert counts(run_all(0, 0)) == [
+        ("intersection identities", 4, 0),
+        ("hilbert rank law", 2, 0),
+        ("series inversion identity", 200, 0),
+        ("radical and Neron-Severi lattice", 1, 1),
+    ]
+    assert main(["verify", "--grid", "0,0"]) == 2
+    out = capsys.readouterr().out
+    assert "  FAIL radical is not the span of fiber.H at (g=0, deg E=0, deg Q=0)\n" in out
+    assert out.endswith("verification FAILED (1 failures)\n")
+
+
+def test_a_wrong_radical_from_neron_severi_fails_the_radical_check(monkeypatch):
+    # the kernel agrees up to sign, but reports print neron_severi's radical, so (0, -1, 0) is a failure
+    neron_severi = RuledSurface.neron_severi
+    monkeypatch.setattr(
+        RuledSurface, "neron_severi", lambda s: dataclasses.replace(neron_severi(s), radical_basis=((0, -1, 0),))
+    )
+    res = kzero.verify.radical_suite(0, 0)
+    assert (res.passed, res.failed) == (1, 1)
+    assert res.failures == ["radical is not the span of fiber.H at (g=0, deg E=0, deg Q=0)"]
