@@ -128,14 +128,16 @@ def _normal_form(rel, lo: int, ranks: list[int], degrees: list[int]) -> tuple[li
     """NF(sum_i (ranks[i], degrees[i]) T^(lo+i)) as rank and degree lists of length n+1.
 
     ``rel`` holds the relation's lists rho_0 = (1, 0), ..., rho_{n+1}.  Synthetic
-    division leaves the class on exponents lo..lo+n; then it is multiplied by
-    NF(T^lo), by repeated squaring of NF(T) = T or, for lo < 0, of
-    NF(T^-1) = -sum_{q>=1} rho_q T^(q-1).  The gap costs O(n^2 log |lo|).
+    division, needed only past n+1 terms, leaves the class on exponents lo..lo+n;
+    then it is multiplied by NF(T^lo), by repeated squaring of NF(T) = T or, for
+    lo < 0, of NF(T^-1) = -sum_{q>=1} rho_q T^(q-1).  The gap costs O(n^2 log |lo|).
     """
     rel_r, rel_d = rel
     top = len(rel_r) - 1
     pad = [0] * (top - len(ranks))
-    ranks, degrees = _divide(rel_r, rel_d, ranks + pad, degrees + pad)
+    ranks, degrees = ranks + pad, degrees + pad  # fresh lists, which _divide clears in place
+    if len(ranks) > top:
+        ranks, degrees = _divide(rel_r, rel_d, ranks, degrees)
     if lo > 0:
         xr, xd = [0, 1] + [0] * (top - 2), [0] * top
     elif lo < 0:

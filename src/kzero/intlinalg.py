@@ -64,7 +64,7 @@ HEADROOM_BITS = 128
 def _copy(mat) -> list[list[int]]:
     rows = []
     for i, row in enumerate(mat):
-        if type(row) is not list and not isinstance(row, Sequence):
+        if type(row) not in (list, tuple) and not isinstance(row, Sequence):
             raise ValidationError(f"matrix row {i} is not a sequence")
         try:
             rows.append(list(map(index, row)))

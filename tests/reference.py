@@ -22,12 +22,17 @@ the whole way.  The library reduces the matrix alone, on lists or packed
 columns, and replays its log of column operations to build only the
 kernel columns of that transform, so this is the replay's oracle: the
 tests require the very same kernel vectors.
+
+``random_unit_poly`` is ``kzero.verify``'s test-input generator as it was
+before it filled its rank and degree lists directly; the tests require
+equal polynomials and the same random state after each draw.
 """
 
 from itertools import count
 
 from kzero import BundleClass, K0Class, LaurentPoly, TruncatedSeries, euler_form_base
 from kzero.series import ruled_piece
+from kzero.verify import MAX_RANDOM_DEGREE
 
 
 def poly_mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
@@ -224,3 +229,11 @@ def integer_kernel_reference(mat) -> list[list[int]]:
                 if q:
                     col[i:] = [x - q * y for x, y in zip(col[i:], pivot[i:])]
     return [col[m:] for col in cols[rank:]]
+
+
+def random_unit_poly(rng, base) -> LaurentPoly:
+    """``kzero.verify.random_unit_poly`` as it was: one ``K0Class`` per term, drawn in the same order."""
+    terms = {0: base.k0(rng.choice((1, -1)), 0 if base.is_point else rng.randint(-5, 5))}
+    for e in range(1, rng.randint(1, MAX_RANDOM_DEGREE) + 1):
+        terms[e] = base.k0(rng.randint(-5, 5), 0 if base.is_point else rng.randint(-5, 5))
+    return LaurentPoly(base, terms)

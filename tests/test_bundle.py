@@ -25,6 +25,7 @@ from kzero import (
     reduce_poly,
     twist,
 )
+from kzero.bundle import _normal_form
 
 
 def ruled_spec(genus=0, deg_e=0, deg_q=0):
@@ -151,6 +152,32 @@ def test_powers_of_t_match_companion_matrix():
                     vec = companion_apply(mat, vec)
                     t_power = LaurentPoly(x, {sign * k: x.one})
                     assert reduce_poly(t_power, spec).coeffs == vec
+
+
+def companion_powers(spec, lo, count):
+    """NF(T^lo), ..., NF(T^(lo+count-1)) as coefficient tuples, stepping the companion matrix from NF(1).
+
+    With rho_q = (-1)^q E_q: T * T^n = -rho_(n+1)^-1 * sum_(q<=n) rho_q T^q, and
+    T^-1 = -sum_(q>=1) rho_q T^(q-1) since rho_0 = 1.
+    """
+    x, n = spec.base, spec.n
+    rho = [(-1) ** q * c for q, c in enumerate(spec.koszul)]
+    lead_inv = rho[-1].inverse()
+
+    def up(v):
+        return tuple((v[i - 1] if i else x.zero) - v[n] * lead_inv * rho[i] for i in range(n + 1))
+
+    def down(v):
+        return tuple((v[i + 1] if i < n else x.zero) - v[0] * rho[i + 1] for i in range(n + 1))
+
+    v = (x.one,) + (x.zero,) * n
+    for _ in range(abs(lo)):
+        v = up(v) if lo > 0 else down(v)
+    powers = []
+    for _ in range(count):
+        powers.append(v)
+        v = up(v)
+    return powers
 
 
 # -- twist, pullback, rho ----------------------------------------------
@@ -325,3 +352,30 @@ def test_the_cached_relation_stays_out_of_eq_hash_and_repr():
     assert "_relation" not in repr(a)
     (rel,) = (f for f in dataclasses.fields(PnBundleSpec) if f.name == "_relation")
     assert (rel.init, rel.repr, rel.compare) == (False, False, False)
+
+
+# -- classes that need no division -------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(bundle_specs(), st.data(), st.integers(-70, 70))
+def test_classes_on_at_most_n_plus_1_exponents_skip_the_division(spec, data, lo):
+    x, top = spec.base, spec.n + 1
+    size = data.draw(st.integers(0, top))
+    ranks = data.draw(st.lists(st.integers(-20, 20), min_size=size, max_size=size))
+    degree = st.just(0) if x.is_point else st.integers(-20, 20)
+    degrees = data.draw(st.lists(degree, min_size=size, max_size=size))
+    given_lists = (list(ranks), list(degrees))
+    nf = _normal_form(spec._relation, lo, ranks, degrees)
+    # at lo = 0 no product follows either, so the padded copies are what comes back
+    for out in (nf, _normal_form(spec._relation, 0, ranks, degrees)):
+        assert not {id(ranks), id(degrees)} & {id(out[0]), id(out[1])} and out[0] is not out[1]
+    assert (ranks, degrees) == given_lists
+    # zeros up to n+2 terms leave the class alone but send it down the division route
+    zeros = [0] * (top + 1 - size)
+    assert nf == _normal_form(spec._relation, lo, ranks + zeros, degrees + zeros)
+    want = [x.zero] * top
+    for r, d, power in zip(ranks, degrees, companion_powers(spec, lo, size)):
+        want = [w + x.k0(r, d) * c for w, c in zip(want, power)]
+    assert reduce_poly(LaurentPoly._dense(x, lo, ranks, degrees), spec).coeffs == tuple(want)
+    assert tuple(map(x.k0, *nf)) == tuple(want)

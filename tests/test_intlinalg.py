@@ -246,9 +246,18 @@ def test_non_integer_entries_are_refused(entry):
 
 
 def test_rows_that_are_not_sequences_are_refused():
-    for a in ([5], [[1, 2], 3], [{1, 2}], [iter([1, 2])], [{0: 1, 1: 2}]):
+    for a in ([5], [[1, 2], 3], [{1, 2}], [iter([1, 2])], [{0: 1, 1: 2}], [(1, 2), iter([1, 2])], [(1, 2), {0: 1}]):
         with pytest.raises(ValidationError, match="not a sequence"):
             integer_kernel(a)
+
+
+def test_tuple_list_and_mixed_rows_give_the_same_kernel():
+    rng = random.Random(22)
+    for m, n in [(6, 3), (2, 5), (3, THRESHOLD), (4, THRESHOLD + 2)]:
+        rows = random_matrix(rng, m, n, bound=3)
+        kernel = integer_kernel(rows)
+        assert integer_kernel([tuple(r) for r in rows]) == kernel
+        assert integer_kernel([tuple(r) if i % 2 else r for i, r in enumerate(rows)]) == kernel
 
 
 def test_ragged_matrices_are_validation_errors():

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import kzero.verify
-from kzero import LaurentPoly, RuledSurface, TruncatedSeries, curve, series_invert
+import reference
+from kzero import LaurentPoly, RuledSurface, TruncatedSeries, curve, point, series_invert
 from kzero.cli import main
 from kzero.series import ruled_piece
 from kzero.verify import (
@@ -161,3 +162,60 @@ def test_a_wrong_radical_from_neron_severi_fails_the_radical_check(monkeypatch):
     res = kzero.verify.radical_suite(0, 0)
     assert (res.passed, res.failed) == (1, 1)
     assert res.failures == ["radical is not the span of fiber.H at (g=0, deg E=0, deg Q=0)"]
+
+
+@pytest.mark.parametrize("grid, kernels, checks", [((5, 5), 11, 1452), ((2, 7), 15, 1350), ((0, 0), 1, 2)])
+def test_the_radical_suite_solves_one_kernel_per_distinct_gram(monkeypatch, grid, kernels, checks):
+    # the Gram depends on deg E alone, so a grid bounded by dmax has 2 * dmax + 1 of them
+    grams = []
+    integer_kernel = kzero.verify.integer_kernel
+    monkeypatch.setattr(kzero.verify, "integer_kernel", lambda mat: grams.append(mat) or integer_kernel(mat))
+    res = kzero.verify.radical_suite(*grid)
+    assert (res.passed, res.failed) == (checks, 0)
+    assert len(grams) == kernels == len({tuple(map(tuple, mat)) for mat in grams})
+
+
+def test_a_kernel_wrong_for_one_gram_fails_every_surface_sharing_it(monkeypatch):
+    # the deg E = 0 Gram is the one whose H.H entry is zero; a shared kernel must still fail each of its surfaces
+    integer_kernel = kzero.verify.integer_kernel
+    monkeypatch.setattr(
+        kzero.verify, "integer_kernel", lambda mat: [[0, 2, 0]] if mat[2][2] == 0 else integer_kernel(mat)
+    )
+    res = kzero.verify.radical_suite()
+    assert (res.passed, res.failed) == (1452 - 66, 66)
+    assert res.failures[:2] == [
+        "radical is not the span of fiber.H at (g=0, deg E=0, deg Q=-5)",
+        "radical is not the span of fiber.H at (g=0, deg E=0, deg Q=-4)",
+    ]
+    assert all("deg E=0," in m for m in res.failures)
+
+
+def test_a_kernel_that_raises_once_fails_only_its_own_surface(monkeypatch):
+    # a failed kernel is not remembered: the next surface with that Gram solves it again
+    calls = []
+    integer_kernel = kzero.verify.integer_kernel
+
+    def flaky(mat):
+        calls.append(1)
+        if len(calls) == 1:
+            raise ArithmeticError("flaky")
+        return integer_kernel(mat)
+
+    monkeypatch.setattr(kzero.verify, "integer_kernel", flaky)
+    res = kzero.verify.radical_suite(0, 1)
+    assert (res.passed, res.failed, len(calls)) == (16, 2, 4)
+    assert res.failures == [
+        "lattice computation raised at (g=0, deg E=-1, deg Q=-1): ArithmeticError('flaky')",
+        "quotient Gram unavailable at (g=0, deg E=-1, deg Q=-1)",
+    ]
+
+
+@pytest.mark.parametrize("seed", [INVERSION_SEED, 1, 424242])
+def test_random_unit_poly_draws_like_the_k0class_construction(seed):
+    rng, ref = random.Random(seed), random.Random(seed)
+    for t in range(INVERSION_TRIALS):
+        genus = rng.randint(0, 5)
+        assert ref.randint(0, 5) == genus
+        base = point() if t % 7 == 0 else curve(genus)
+        assert random_unit_poly(rng, base) == reference.random_unit_poly(ref, base)
+        assert rng.getstate() == ref.getstate()
