@@ -14,8 +14,7 @@ log from last to first, (k, p, q) mapping v_p -= q * v_k and a swap
 exchanging entries k and p.  These are the very vectors that carrying U
 beside the columns would give.
 
-Matrices of at least ``PACKED_MIN_COLUMNS`` columns run the same pivots
-and quotients on packed columns, built by Horner's rule from the last
+The loop runs on packed columns, built by Horner's rule from the last
 row.  Each column that is not yet a pivot is one Python int: its entry j
 sits in a signed ``width``-bit slot at bit ``width * j``, counted from
 the current row, so a pivot entry reads as ``((P & mask) ^ half) -
@@ -30,20 +29,16 @@ it are all columns repacked in wider slots.  Slots are whole bytes with
 ``HEADROOM_BITS`` to spare, so decoding is one ``to_bytes``/
 ``from_bytes`` pass after an offset of ``half`` per slot.
 
-Cost model: the list loop pays one interpreter step per entry of each
-column operation, the packed loop one step per operation plus
-big-integer work linear in the column's bits, and the replay one step
-per operation and kernel vector.  Measured with Python 3.11 on entries
-in [-9, 9]: the packed loop is about as fast as the list loop at 4-5
-columns, 1.1x faster at 6 and 1.2-1.5x at 8-16, whatever the row count.
-Near-full-rank matrices of size 18-26 take 1-3 ms; of size 60 with
-entries in [-50, 50] and deficiency 5 0.1-0.15 s, with kernel entries
-of 271-288 bits over five seeds; of size 80 with entries in [-9, 9] and
-deficiency 4 0.2-0.4 s, with 278-310 bits.  With 1,000-bit entries both
-loops spend their time in big-integer products and tie: 18 x 20 takes
-2.3-3.1 s on either.  The replay is where wide kernels pay: with many
-kernel vectors and 10-24 rows (12 x 30, 16 x 40) it makes the whole
-kernel 1.3-1.7x slower than carrying the transform did.
+Cost model: the loop pays one interpreter step per column operation
+plus big-integer work linear in the column's bits, and the replay one
+step per operation and kernel vector.  Measured with Python 3.11 on a
+2-vCPU machine: the verify sweep's 6 x 3 stacked Gram takes 20 us.  On
+entries in [-9, 9], near-full-rank matrices of size 18-26 take 1-3 ms,
+and 12 x 30 and 16 x 40 take 2 and 5-7 ms.  Of size 60 with entries in
+[-50, 50] and deficiency 5 they take 0.07-0.11 s, with kernel entries
+of 274-307 bits over five seeds; of size 80 with entries in [-9, 9]
+and deficiency 4 0.14-0.19 s, with 287-331 bits.  With 1,000-bit
+entries the time is in big-integer products: 18 x 20 takes 1.6-1.9 s.
 """
 
 from __future__ import annotations
@@ -53,8 +48,6 @@ from operator import index
 
 from .errors import ValidationError
 
-# fewer columns than this run the list loop: the measured crossover
-PACKED_MIN_COLUMNS = 6
 # spare bits per slot: more make the bound check fail less often but
 # the columns longer; at sizes 18-26 and 60, 64-256 time alike and 32
 # and 384 slower
@@ -85,66 +78,10 @@ def integer_kernel(mat) -> list[list[int]]:
     ``ValidationError``.
     """
     rows = _copy(mat)
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    if n >= PACKED_MIN_COLUMNS:
-        return _replay(*_packed_log(rows, n), n)
-    cols = [[row[j] for row in rows] for j in range(n)]
-    log = []
-    rank = 0
-    for i in range(m):
-        while True:
-            # the first live column of least |entry| is the pivot
-            mags = [abs(col[i]) for col in cols[rank:]]
-            live = n - rank - mags.count(0)
-            if not live:
-                break
-            p = rank + mags.index(min(filter(None, mags)))
-            if p != rank:
-                cols[rank], cols[p] = cols[p], cols[rank]
-                log.append((rank, p, 0))
-            if live == 1:
-                rank += 1
-                break
-            # entries above row i are zero in every non-pivot column
-            pivot = cols[rank][i:]
-            lead = pivot[0]
-            for k in range(rank + 1, n):
-                col = cols[k]
-                q = col[i] // lead
-                if q:
-                    col[i:] = [x - q * y for x, y in zip(col[i:], pivot)]
-                    log.append((k, rank, q))
-    return _replay(log, rank, n)
-
-
-def _slot_width(bits: int) -> int:
-    """Whole-byte slot width for magnitudes of ``bits`` bits plus headroom."""
-    return -(-(bits + 1 + HEADROOM_BITS) // 8) * 8
-
-
-def _offset(slots: int, width: int) -> int:
-    """``half`` in each of ``slots`` slots: added, it makes every digit nonnegative."""
-    return int.from_bytes((bytes(width // 8 - 1) + b"\x80") * slots, "little")
-
-
-def _pack(entries: list[int], width: int) -> int:
-    """sum entries[j] * 2^(width*j), for whole-byte ``width`` and entries in [-2^(width-1), 2^(width-1))."""
-    half = 1 << (width - 1)
-    data = b"".join((x + half).to_bytes(width // 8, "little") for x in entries)
-    return int.from_bytes(data, "little") - _offset(len(entries), width)
-
-
-def _unpack(packed: int, slots: int, width: int) -> list[int]:
-    """The entries of ``_pack``, also of a sum or product of packings whose slots all stay in range."""
-    half, w = 1 << (width - 1), width // 8
-    data = (packed + _offset(slots, width)).to_bytes(slots * w, "little")
-    return [int.from_bytes(data[j : j + w], "little") - half for j in range(0, slots * w, w)]
-
-
-def _packed_log(rows: list[list[int]], n: int) -> tuple[list[tuple[int, int, int]], int]:
-    """``integer_kernel``'s loop on packed columns: the same log and rank."""
     slots = len(rows)
+    n = len(rows[0]) if slots else 0
+    if not n:
+        return []
     bound = [max(map(abs, col)) for col in zip(*rows)]
     width = _slot_width(max(bound).bit_length())
     # column j is sum rows[i][j] * 2^(width*i), by Horner's rule from the last row
@@ -158,6 +95,7 @@ def _packed_log(rows: list[list[int]], n: int) -> tuple[list[tuple[int, int, int
         mask = 2 * half - 1
         lead = [0] * rank + [((P & mask) ^ half) - half for P in packed[rank:]]
         while True:
+            # the first live column of least |entry| is the pivot
             mags = list(map(abs, lead[rank:]))
             live = n - rank - mags.count(0)
             if not live:
@@ -199,7 +137,31 @@ def _packed_log(rows: list[list[int]], n: int) -> tuple[list[tuple[int, int, int
         for k in range(rank, n):
             packed[k] >>= width
         slots -= 1
-    return log, rank
+    return _replay(log, rank, n)
+
+
+def _slot_width(bits: int) -> int:
+    """Whole-byte slot width for magnitudes of ``bits`` bits plus headroom."""
+    return -(-(bits + 1 + HEADROOM_BITS) // 8) * 8
+
+
+def _offset(slots: int, width: int) -> int:
+    """``half`` in each of ``slots`` slots: added, it makes every digit nonnegative."""
+    return int.from_bytes((bytes(width // 8 - 1) + b"\x80") * slots, "little")
+
+
+def _pack(entries: list[int], width: int) -> int:
+    """sum entries[j] * 2^(width*j), for whole-byte ``width`` and entries in [-2^(width-1), 2^(width-1))."""
+    half = 1 << (width - 1)
+    data = b"".join((x + half).to_bytes(width // 8, "little") for x in entries)
+    return int.from_bytes(data, "little") - _offset(len(entries), width)
+
+
+def _unpack(packed: int, slots: int, width: int) -> list[int]:
+    """The entries of ``_pack``, also of a sum or product of packings whose slots all stay in range."""
+    half, w = 1 << (width - 1), width // 8
+    data = (packed + _offset(slots, width)).to_bytes(slots * w, "little")
+    return [int.from_bytes(data[j : j + w], "little") - half for j in range(0, slots * w, w)]
 
 
 def _replay(log: list[tuple[int, int, int]], rank: int, n: int) -> list[list[int]]:

@@ -18,10 +18,10 @@ series by negative index and by zip; the tests require equal tuples.
 
 ``integer_kernel_reference`` is ``kzero.intlinalg``'s column Hermite
 reduction on lists, with the n x n transform carried beside each column
-the whole way.  The library reduces the matrix alone, on lists or packed
-columns, and replays its log of column operations to build only the
-kernel columns of that transform, so this is the replay's oracle: the
-tests require the very same kernel vectors.
+the whole way.  The library reduces the matrix alone, on packed columns,
+and replays its log of column operations to build only the kernel
+columns of that transform, so this is the oracle of both the packed
+pivots and the replay: the tests require the very same kernel vectors.
 
 ``random_unit_poly`` is ``kzero.verify``'s test-input generator as it was
 before it filled its rank and degree lists directly; the tests require

@@ -16,8 +16,6 @@ from sympy.polys.matrices import DomainMatrix
 from kzero import ValidationError, integer_kernel, intlinalg
 from reference import integer_kernel_reference
 
-THRESHOLD = intlinalg.PACKED_MIN_COLUMNS
-
 
 def rational_rank(mat):
     a = [[Fraction(x) for x in row] for row in mat]
@@ -97,6 +95,8 @@ def test_kernel_of_zero_and_identity():
 def test_kernel_of_empty_and_ragged_matrices():
     assert integer_kernel([]) == []
     assert integer_kernel([[]]) == []
+    assert integer_kernel([[], []]) == []
+    assert integer_kernel([[]] * 3) == []
     with pytest.raises(ValueError, match="ragged"):
         integer_kernel([[1, 2], [3]])
 
@@ -130,14 +130,14 @@ def test_kernel_of_a_near_full_rank_60_by_60_matrix_stays_small():
     assert elapsed < 10
 
 
-# The packed path must take the very pivots and quotients of the list
-# loop, so the tests below ask for equal vectors, not only a saturated
-# basis of the same lattice.
+# The packed loop must take the very pivots and quotients of
+# ``integer_kernel_reference``, a plain list loop, so the tests below ask
+# for equal vectors, not only a saturated basis of the same lattice.
 
 
-def test_both_paths_match_the_list_loop_around_the_column_threshold():
+def test_kernel_matches_integer_kernel_reference_from_1_to_20_columns():
     rng = random.Random(2024)
-    for n in sorted({1, 2, THRESHOLD - 1, THRESHOLD, THRESHOLD + 1, 12, 20}):
+    for n in (1, 2, 5, 6, 7, 12, 20):
         for m in sorted({1, max(1, n // 2), n, 2 * n}):
             for bound in (1, 9, 50):
                 a = random_matrix(rng, m, n, bound)
@@ -158,7 +158,7 @@ def test_packed_slots_widen_at_the_start_and_mid_run(bits, monkeypatch):
 
     monkeypatch.setattr(intlinalg, "_slot_width", recording)
     rng = random.Random(bits)
-    n = THRESHOLD + 2
+    n = 8
 
     def big():
         return rng.choice((-1, 1)) * rng.getrandbits(bits)
@@ -178,7 +178,7 @@ def test_packed_slots_decode_negative_entries_below_positive_ones():
     for entries in ([-1, 1], [-3, -2, 5, -1, 7], [-half, half - 1, -half, 0, half - 1, -1]):
         packed = intlinalg._pack(entries, width)
         assert intlinalg._unpack(packed, len(entries), width) == entries
-    n = THRESHOLD + 1
+    n = 7
     a = [[(-1) ** (i + 1) * (i * n + j + 1) for j in range(n)] for i in range(n)]
     a += [[-x for x in row] for row in a]
     assert integer_kernel(a) == integer_kernel_reference(a)
@@ -201,7 +201,7 @@ def test_packed_slots_round_trip_up_to_the_slot_edge(case):
 
 
 def test_packed_path_on_zero_repeated_and_degenerate_matrices():
-    n = THRESHOLD
+    n = 6
     row = list(range(1, n + 1))
     zero = [0] * n
     for a in ([], [[]], [zero], [zero] * 3, [row] * 3, [row, zero, row], [zero, row], [[1] * n] * (n + 2)):
@@ -214,7 +214,7 @@ def test_packed_path_on_zero_repeated_and_degenerate_matrices():
 
 @st.composite
 def mixed_matrices(draw):
-    n = draw(st.integers(THRESHOLD - 2, THRESHOLD + 4))
+    n = draw(st.integers(4, 10))
     entry = st.one_of(st.integers(-30, 30), st.integers(-(2**80), 2**80))
     rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=9))
     rows += [list(rows[i]) for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))]
@@ -225,7 +225,7 @@ def mixed_matrices(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(mixed_matrices())
-def test_kernel_matches_the_list_loop(a):
+def test_kernel_matches_integer_kernel_reference_on_mixed_entries(a):
     assert integer_kernel(a) == integer_kernel_reference(a)
 
 
@@ -240,7 +240,7 @@ def test_kernel_matches_the_list_loop(a):
     ids=["float", "integral-float", "str", "Fraction", "integral-Fraction", "Decimal", "None", "list"],
 )
 def test_non_integer_entries_are_refused(entry):
-    for a in ([[entry, 1]], [[1, 2], [3, entry]], [[1] * THRESHOLD, [entry] + [1] * (THRESHOLD - 1)]):
+    for a in ([[entry, 1]], [[1, 2], [3, entry]], [[1] * 6, [entry] + [1] * 5]):
         with pytest.raises(ValidationError, match="row"):
             integer_kernel(a)
 
@@ -253,7 +253,7 @@ def test_rows_that_are_not_sequences_are_refused():
 
 def test_tuple_list_and_mixed_rows_give_the_same_kernel():
     rng = random.Random(22)
-    for m, n in [(6, 3), (2, 5), (3, THRESHOLD), (4, THRESHOLD + 2)]:
+    for m, n in [(6, 3), (2, 5), (3, 6), (4, 8)]:
         rows = random_matrix(rng, m, n, bound=3)
         kernel = integer_kernel(rows)
         assert integer_kernel([tuple(r) for r in rows]) == kernel
@@ -261,7 +261,7 @@ def test_tuple_list_and_mixed_rows_give_the_same_kernel():
 
 
 def test_ragged_matrices_are_validation_errors():
-    for a in ([[1, 2], [3]], [[1], [2, 3]], [[], [1]], [[1] * THRESHOLD, [1] * (THRESHOLD + 1)]):
+    for a in ([[1, 2], [3]], [[1], [2, 3]], [[], [1]], [[1] * 6, [1] * 7]):
         with pytest.raises(ValidationError, match="ragged"):
             integer_kernel(a)
 
@@ -292,12 +292,8 @@ def replay_matrices(draw):
 @example([[int(i == j) for j in range(9)] for i in range(9)])
 @example([[0] * 14, [3] * 14])
 @example([[(i * j) % 7 - 3 for j in range(14)] for i in range(6)])
-def test_replay_after_either_loop_matches_the_transform_carrying_reference(a):
-    expected = integer_kernel_reference(a)
-    for threshold in (THRESHOLD, 1, 10**9):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(intlinalg, "PACKED_MIN_COLUMNS", threshold)
-            assert integer_kernel(a) == expected
+def test_replay_matches_the_transform_carrying_reference(a):
+    assert integer_kernel(a) == integer_kernel_reference(a)
 
 
 def test_kernels_of_benchmark_shaped_matrices_match_the_reference():
