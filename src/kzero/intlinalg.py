@@ -23,11 +23,11 @@ once a row is done the remaining columns shift right by one slot (their
 slot-0 entries are zero by then).  A bound b_k >= max |entry| grows as
 b_k + |q| b_p with each operation and keeps every slot below ``half =
 2**(width - 1)`` in magnitude, so the packed sum decodes slot by slot.
-When an operation would break that, the bounds of the pivot, then of
-column k, are reset to their true maxima; only if the true entries need
-it are all columns repacked in wider slots.  Slots are whole bytes with
-``HEADROOM_BITS`` to spare, so decoding is one ``to_bytes``/
-``from_bytes`` pass after an offset of ``half`` per slot.
+When an operation would break that, the pivot's bound is reset to its
+true maximum; if that is not enough, every column is repacked at its
+true maxima, in slots as wide as the new bound needs but never narrower.
+Slots have ``HEADROOM_BITS`` to spare; the codec (``_slot_width``,
+``_pack``, ``_unpack``) is the one ``series`` multiplies with.
 
 Cost model: the loop pays one interpreter step per column operation
 plus big-integer work linear in the column's bits, and the replay one
@@ -47,6 +47,7 @@ from collections.abc import Sequence
 from operator import index
 
 from .errors import ValidationError
+from .series import _pack, _slot_width, _unpack
 
 # spare bits per slot: more make the bound check fail less often but
 # the columns longer; at sizes 18-26 and 60, 64-256 time alike and 32
@@ -57,7 +58,7 @@ HEADROOM_BITS = 128
 def _copy(mat) -> list[list[int]]:
     rows = []
     for i, row in enumerate(mat):
-        if type(row) not in (list, tuple) and not isinstance(row, Sequence):
+        if not isinstance(row, Sequence):
             raise ValidationError(f"matrix row {i} is not a sequence")
         try:
             rows.append(list(map(index, row)))
@@ -83,7 +84,7 @@ def integer_kernel(mat) -> list[list[int]]:
     if not n:
         return []
     bound = [max(map(abs, col)) for col in zip(*rows)]
-    width = _slot_width(max(bound).bit_length())
+    width = _slot_width(max(bound).bit_length() + HEADROOM_BITS)
     # column j is sum rows[i][j] * 2^(width*i), by Horner's rule from the last row
     packed = [0] * n
     for row in reversed(rows):
@@ -116,17 +117,15 @@ def integer_kernel(mat) -> list[list[int]]:
                     continue
                 b = bound[k] + abs(q) * b_p
                 if b >= half:
-                    # reset the bounds of the pivot, then of column k, to their true maxima
+                    # reset the pivot's bound to its true maximum
                     b_p = bound[rank] = max(map(abs, _unpack(pivot, slots, width)))
                     b = bound[k] + abs(q) * b_p
                     if b >= half:
-                        bound[k] = max(map(abs, _unpack(packed[k], slots, width)))
-                        b = bound[k] + abs(q) * b_p
-                    if b >= half:
-                        # the true entries need wider slots
+                        # repack every column at its true maxima; a slot never narrows
                         cols = [_unpack(P, slots, width) for P in packed[rank:]]
                         bound[rank:] = [max(map(abs, col)) for col in cols]
-                        width = _slot_width(b.bit_length())
+                        b = bound[k] + abs(q) * b_p
+                        width = max(width, _slot_width(b.bit_length() + HEADROOM_BITS))
                         half = 1 << (width - 1)
                         packed[rank:] = [_pack(col, width) for col in cols]
                         pivot = packed[rank]
@@ -138,30 +137,6 @@ def integer_kernel(mat) -> list[list[int]]:
             packed[k] >>= width
         slots -= 1
     return _replay(log, rank, n)
-
-
-def _slot_width(bits: int) -> int:
-    """Whole-byte slot width for magnitudes of ``bits`` bits plus headroom."""
-    return -(-(bits + 1 + HEADROOM_BITS) // 8) * 8
-
-
-def _offset(slots: int, width: int) -> int:
-    """``half`` in each of ``slots`` slots: added, it makes every digit nonnegative."""
-    return int.from_bytes((bytes(width // 8 - 1) + b"\x80") * slots, "little")
-
-
-def _pack(entries: list[int], width: int) -> int:
-    """sum entries[j] * 2^(width*j), for whole-byte ``width`` and entries in [-2^(width-1), 2^(width-1))."""
-    half = 1 << (width - 1)
-    data = b"".join((x + half).to_bytes(width // 8, "little") for x in entries)
-    return int.from_bytes(data, "little") - _offset(len(entries), width)
-
-
-def _unpack(packed: int, slots: int, width: int) -> list[int]:
-    """The entries of ``_pack``, also of a sum or product of packings whose slots all stay in range."""
-    half, w = 1 << (width - 1), width // 8
-    data = (packed + _offset(slots, width)).to_bytes(slots * w, "little")
-    return [int.from_bytes(data[j : j + w], "little") - half for j in range(0, slots * w, w)]
 
 
 def _replay(log: list[tuple[int, int, int]], rank: int, n: int) -> list[list[int]]:

@@ -12,14 +12,15 @@ only: a polynomial is a lowest exponent ``lo`` plus dense ``ranks`` and
 work on these lists; ``K0Class`` objects are built only for callers who
 ask for coefficients (``terms()``, ``coeff()``, ``coeffs``) or a
 ``repr``.  Products of polynomials go through one big-integer
-multiplication per list pair (Kronecker substitution); series inversion
-and truncated products convolve the lists directly.
+multiplication per list pair (Kronecker substitution, by the slot codec
+this module owns); inversion and truncated products convolve directly.
 """
 
 from __future__ import annotations
 
 from itertools import count
 from math import comb
+from operator import index
 
 from .base import BaseSpace, K0Class
 from .errors import (
@@ -29,7 +30,6 @@ from .errors import (
     RankConstraintViolation,
     ValidationError,
 )
-from .intlinalg import _pack, _unpack
 
 
 class LaurentPoly:
@@ -89,8 +89,13 @@ class LaurentPoly:
 
     @classmethod
     def from_int_coeffs(cls, base: BaseSpace, ints) -> LaurentPoly:
-        """Polynomial sum (c_i, 0) T^i with pure rank coefficients."""
-        ranks = [int(c) for c in ints]
+        """Polynomial sum (c_i, 0) T^i with pure rank coefficients, each read by ``operator.index``."""
+        ranks = []
+        for i, c in enumerate(ints):
+            try:
+                ranks.append(index(c))
+            except TypeError as err:
+                raise ValidationError(f"coefficient {i}: {err}") from None
         return cls._dense(base, 0, ranks, [0] * len(ranks))
 
     def terms(self):
@@ -211,6 +216,7 @@ class TruncatedSeries:
 
     @classmethod
     def one(cls, base: BaseSpace, order: int) -> TruncatedSeries:
+        order = _order(order)
         return cls._dense(base, [1] + [0] * order, [0] + [0] * order)
 
     @property
@@ -268,8 +274,7 @@ def series_invert(p: LaurentPoly, order: int) -> TruncatedSeries:
 
     so that p * b = 1 modulo T^(order+1).
     """
-    if order < 0:
-        raise ValidationError("truncation order must be >= 0")
+    order = _order(order)
     lo, pr, pd = p.lo, p.ranks, p.degrees
     if lo < 0:
         raise NegativeExponent("only power series (no T^-k terms) can be inverted")
@@ -291,21 +296,55 @@ def series_invert(p: LaurentPoly, order: int) -> TruncatedSeries:
     return TruncatedSeries._dense(p.base, br, bd)
 
 
+def _order(order) -> int:
+    """A truncation order read by ``operator.index``; ``ValidationError`` unless an integer >= 0."""
+    try:
+        order = index(order)
+    except TypeError as err:
+        raise ValidationError(f"truncation order: {err}") from None
+    if order < 0:
+        raise ValidationError("truncation order must be >= 0")
+    return order
+
+
 def _convolve(a: list[int], b: list[int]) -> list[int]:
     """The coefficient list of (sum a_i x^i)(sum b_j x^j); zeros if a list is empty.
 
     Kronecker substitution: each list is packed into one integer with
     signed slots of w bits at x = 2^w and the two integers are multiplied
     once.  No product coefficient exceeds bound = max|a| * max|b| *
-    min(len a, len b) in size, so a slot of w = 8 * (bound.bit_length()
-    // 8 + 1) bits holds it with its sign.
+    min(len a, len b), so ``_slot_width(bound.bit_length())`` bits hold it.
     """
     n = len(a) + len(b) - 1
     bound = max(map(abs, a), default=0) * max(map(abs, b), default=0) * min(len(a), len(b))
     if not bound:
         return [0] * n
-    w = 8 * (bound.bit_length() // 8 + 1)
+    w = _slot_width(bound.bit_length())
     return _unpack(_pack(a, w) * _pack(b, w), n, w)
+
+
+def _slot_width(bits: int) -> int:
+    """Whole-byte width of a slot that holds a signed magnitude of ``bits`` bits."""
+    return 8 * (bits // 8 + 1)
+
+
+def _offset(slots: int, width: int) -> int:
+    """``half`` in each of ``slots`` slots: added, it makes every digit nonnegative."""
+    return int.from_bytes((bytes(width // 8 - 1) + b"\x80") * slots, "little")
+
+
+def _pack(entries: list[int], width: int) -> int:
+    """sum entries[j] * 2^(width*j), for whole-byte ``width`` and entries in [-2^(width-1), 2^(width-1))."""
+    half = 1 << (width - 1)
+    data = b"".join((x + half).to_bytes(width // 8, "little") for x in entries)
+    return int.from_bytes(data, "little") - _offset(len(entries), width)
+
+
+def _unpack(packed: int, slots: int, width: int) -> list[int]:
+    """The entries of ``_pack``, also of a sum or product of packings whose slots all stay in range."""
+    half, w = 1 << (width - 1), width // 8
+    data = (packed + _offset(slots, width)).to_bytes(slots * w, "little")
+    return [int.from_bytes(data[j : j + w], "little") - half for j in range(0, slots * w, w)]
 
 
 def _check_ruled_pair(E: K0Class, Q: K0Class) -> None:

@@ -7,6 +7,7 @@ import os
 import resource
 import subprocess
 import sys
+import threading
 import time
 from decimal import Decimal
 from pathlib import Path
@@ -476,6 +477,27 @@ def test_a_job_document_may_hold_max_spec_bytes_and_no_more(monkeypatch, tmp_pat
     assert capsys.readouterr().err == f"error: job document {path} passes MAX_SPEC_BYTES = {len(text)} bytes\n"
     with pytest.raises(ParseError):
         kzero.cli._job_from_args(kzero.cli._parser().parse_args(["run", "--spec", str(path)]))
+
+
+def test_a_job_document_that_a_pipe_delivers_in_two_writes_is_read_whole(tmp_path, capsys):
+    text = json.dumps(ruled_doc()).encode()
+    path, fifo = tmp_path / "job.json", tmp_path / "job.fifo"
+    path.write_bytes(text)
+    assert main(["run", "--spec", str(path), "--json"]) == 0
+    want = capsys.readouterr()
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "wb", buffering=0) as pipe:
+            pipe.write(text[:10])
+            time.sleep(0.2)  # the reader gets the first write alone and must wait for the rest
+            pipe.write(text[10:])
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    assert main(["run", "--spec", str(fifo), "--json"]) == 0
+    writer.join(5)
+    assert capsys.readouterr() == want
 
 
 def test_an_endless_job_document_is_refused_quickly():

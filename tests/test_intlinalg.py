@@ -13,7 +13,7 @@ from sympy import ZZ, Integer, Matrix
 from sympy.matrices.normalforms import smith_normal_form
 from sympy.polys.matrices import DomainMatrix
 
-from kzero import ValidationError, integer_kernel, intlinalg
+from kzero import ValidationError, integer_kernel, intlinalg, series
 from reference import integer_kernel_reference
 
 
@@ -172,12 +172,51 @@ def test_packed_slots_widen_at_the_start_and_mid_run(bits, monkeypatch):
     assert len(widths) > 1
 
 
+@pytest.mark.parametrize("headroom", [0, 1, 4])
+def test_tight_slots_reset_the_pivot_bound_and_repack_and_still_match_the_reference(headroom, monkeypatch):
+    # with little headroom both overflow steps fire often: a pivot reset
+    # unpacks the pivot ("U"), and a repack that follows it unpacks every
+    # live column, then packs them all ("U...UP...P") in slots that must
+    # never narrow; the first packing is by Horner's rule, not by _pack
+    events, widths = [], []
+    pack, unpack = intlinalg._pack, intlinalg._unpack
+
+    def counted_pack(entries, width):
+        events.append("P")
+        widths.append(width)
+        return pack(entries, width)
+
+    def counted_unpack(*args):
+        events.append("U")
+        return unpack(*args)
+
+    monkeypatch.setattr(intlinalg, "HEADROOM_BITS", headroom)
+    monkeypatch.setattr(intlinalg, "_pack", counted_pack)
+    monkeypatch.setattr(intlinalg, "_unpack", counted_unpack)
+    rng = random.Random(f"headroom {headroom}")
+    for k in range(400):
+        if k % 2:
+            a = random_matrix(rng, rng.randint(1, 8), rng.randint(2, 9), rng.choice((1, 9, 1000, 2**40)))
+        else:
+            n = rng.randint(6, 14)
+            a = random_matrix(rng, n - rng.randint(0, 3), n, 50)
+        widths.clear()
+        assert integer_kernel(a) == integer_kernel_reference(a)
+        assert widths == sorted(widths)
+    # each repack shows one "UP" and unpacks as many columns as it packs,
+    # so the unpacks beyond the packs are the pivot resets; more resets
+    # than repacks means some resets were enough on their own
+    trace = "".join(events)
+    repacks, resets = trace.count("UP"), trace.count("U") - trace.count("P")
+    assert repacks > 0 and resets > repacks
+
+
 def test_packed_slots_decode_negative_entries_below_positive_ones():
-    width = intlinalg._slot_width(8)
+    width = series._slot_width(8)
     half = 1 << (width - 1)
     for entries in ([-1, 1], [-3, -2, 5, -1, 7], [-half, half - 1, -half, 0, half - 1, -1]):
-        packed = intlinalg._pack(entries, width)
-        assert intlinalg._unpack(packed, len(entries), width) == entries
+        packed = series._pack(entries, width)
+        assert series._unpack(packed, len(entries), width) == entries
     n = 7
     a = [[(-1) ** (i + 1) * (i * n + j + 1) for j in range(n)] for i in range(n)]
     a += [[-x for x in row] for row in a]
@@ -197,7 +236,7 @@ def slot_lists(draw):
 @given(slot_lists())
 def test_packed_slots_round_trip_up_to_the_slot_edge(case):
     width, entries = case
-    assert intlinalg._unpack(intlinalg._pack(entries, width), len(entries), width) == entries
+    assert series._unpack(series._pack(entries, width), len(entries), width) == entries
 
 
 def test_packed_path_on_zero_repeated_and_degenerate_matrices():

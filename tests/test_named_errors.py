@@ -1,6 +1,7 @@
 """Every input check raises its own named error class, and mixed-type arithmetic is a TypeError."""
 
 import operator
+from fractions import Fraction
 
 import pytest
 
@@ -40,6 +41,12 @@ CASES = {
     "series of mixed bases": (BaseMismatch, lambda: TruncatedSeries(X, [X.one, Y.one])),
     "coefficient past the order": (IndexError, lambda: SERIES.coeff(SERIES.order + 1)),
     "negative inversion order": (ValidationError, lambda: series_invert(LaurentPoly.one(X), -1)),
+    "float inversion order": (ValidationError, lambda: series_invert(LaurentPoly.one(X), 2.5)),
+    "string inversion order": (ValidationError, lambda: series_invert(LaurentPoly.one(X), "3")),
+    "negative order of the series one": (ValidationError, lambda: TruncatedSeries.one(X, -1)),
+    "float rank coefficient": (ValidationError, lambda: LaurentPoly.from_int_coeffs(X, [1, 2.5])),
+    "string rank coefficient": (ValidationError, lambda: LaurentPoly.from_int_coeffs(X, ["7"])),
+    "Fraction rank coefficient": (ValidationError, lambda: LaurentPoly.from_int_coeffs(X, [1, 2, Fraction(4, 1)])),
     "surface class over another base": (BaseMismatch, lambda: SurfaceClass(SURFACE, LaurentPoly.one(Y))),
 }
 
@@ -49,6 +56,26 @@ def test_each_input_check_raises_its_named_class(error, build):
     with pytest.raises(error) as info:
         build()
     assert type(info.value) is error
+
+
+def test_a_non_integer_rank_coefficient_is_named_by_its_position():
+    with pytest.raises(ValidationError, match="^coefficient 2: 'float' object cannot be interpreted as an integer$"):
+        LaurentPoly.from_int_coeffs(X, [1, True, 2.0])
+    assert LaurentPoly.from_int_coeffs(X, [1, True, 2]).ranks == [1, 1, 2]
+
+
+class Three:
+    def __index__(self):
+        return 3
+
+
+def test_coefficients_and_truncation_orders_follow_one_integer_rule():
+    # operator.index decides both: an __index__ type is read, a float is named
+    assert LaurentPoly.from_int_coeffs(X, [Three()]) == LaurentPoly.from_int_coeffs(X, [3])
+    assert TruncatedSeries.one(X, Three()) == TruncatedSeries.one(X, 3)
+    assert series_invert(LaurentPoly.one(X), Three()) == TruncatedSeries.one(X, 3)
+    with pytest.raises(ValidationError, match="^truncation order: 'float' object cannot be interpreted as an integer$"):
+        TruncatedSeries.one(X, 2.0)
 
 
 def test_a_ruled_job_over_a_point_exits_one_with_its_message(capsys):

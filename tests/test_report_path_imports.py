@@ -1,9 +1,15 @@
-"""The report path solves no integer kernel: ``surface`` reads the radical off the Gram."""
+"""The algebra core imports nothing from the integer-kernel module.
+
+The report path solves no integer kernel: ``surface`` reads the radical
+off the Gram.  ``series`` owns the packed-slot codec, and ``intlinalg``
+imports it from there, so the dependency runs one way only.
+"""
 
 import ast
 from pathlib import Path
 
-SURFACE = Path(__file__).resolve().parent.parent / "src" / "kzero" / "surface.py"
+SRC = Path(__file__).resolve().parent.parent / "src" / "kzero"
+SURFACE = SRC / "surface.py"
 
 
 def imported_names(source):
@@ -21,6 +27,18 @@ def imports_intlinalg(source):
 
 def test_surface_does_not_import_intlinalg():
     assert not imports_intlinalg(SURFACE.read_text())
+
+
+def test_series_and_bundle_do_not_import_intlinalg():
+    for name in ("series.py", "bundle.py"):
+        assert not imports_intlinalg((SRC / name).read_text()), name
+
+
+def test_the_slot_codec_is_defined_only_in_series():
+    codec = {"_slot_width", "_offset", "_pack", "_unpack"}
+    for path in SRC.glob("*.py"):
+        defined = {node.name for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.FunctionDef)}
+        assert defined & codec == (codec if path.name == "series.py" else set()), path.name
 
 
 def test_each_import_form_is_seen():

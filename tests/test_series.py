@@ -81,6 +81,14 @@ def test_shift_and_scalars():
     assert (2 * p).coeff(0) == x.k0(2, 0)
 
 
+def test_monomial_is_the_one_term_polynomial():
+    x = curve(1)
+    for c, k in ((x.k0(2, -1), 3), (x.k0(0, 5), -4), (x.one, 0), (x.zero, 7)):
+        assert LaurentPoly.monomial(c, k) == LaurentPoly(x, {k: c})
+    assert LaurentPoly.monomial(x.k0(3, 1)) == LaurentPoly(x, {0: x.k0(3, 1)})
+    assert LaurentPoly.monomial(x.zero, 7) == LaurentPoly.zero(x)
+
+
 # -- series inversion ---------------------------------------------------
 
 

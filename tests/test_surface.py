@@ -46,6 +46,14 @@ def test_named_classes():
     assert s.structure_class(3).rep.terms() == ((-3, x.one),)
 
 
+def test_coeff_reads_the_representative_inside_and_outside_its_support():
+    s = RuledSurface.from_degrees(1, 2, -1)
+    x = s.base
+    c = s.class_of({-2: x.k0(1, 3), 1: x.k0(0, -1)})
+    assert [c.coeff(i) for i in range(-3, 3)] == [x.zero, x.k0(1, 3), x.zero, x.zero, x.k0(0, -1), x.zero]
+    assert s.class_of({}).coeff(0) == x.zero
+
+
 def test_total_rank():
     s = RuledSurface.from_degrees(0, -2, 3)
     for n in range(-4, 5):
