@@ -10,10 +10,10 @@ built from the Koszul classes E_0, ..., E_{n+1} of the fiber algebra.
 Connectedness forces E_0 = 1 and the top class has rank 1, so the
 relation is invertible at both ends: every element of the quotient has a
 unique normal form NF supported on exponents 0..n, and the quotient is a
-free module over the base ring with basis 1, T, ..., T^n.
-One integer routine computes NF for :func:`reduce_poly`, :func:`twist`
-and the ruled surfaces of :mod:`kzero.surface` (n = 1).  Rf_*O = O and
-Rf_*O(-j) = 0 for 1 <= j <= n, so the pushforward is NF's constant term.
+free module over the base ring with basis 1, T, ..., T^n.  One integer
+routine, on the schoolbook product of :mod:`kzero.series`, computes NF for
+:func:`reduce_poly`, :func:`twist` and :mod:`kzero.surface` (n = 1).  Rf_*O = O
+and Rf_*O(-j) = 0 for 1 <= j <= n, so the pushforward is NF's constant term.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Optional
 
 from .base import BaseSpace, K0Class
 from .errors import BaseMismatch, NotAUnit, RankConstraintViolation, ValidationError
-from .series import LaurentPoly
+from .series import LaurentPoly, _product
 
 
 @dataclass(frozen=True)
@@ -127,10 +127,10 @@ def reduce_poly(p: LaurentPoly, spec: PnBundleSpec) -> BundleClass:
 def _normal_form(rel, lo: int, ranks: list[int], degrees: list[int]) -> tuple[list[int], list[int]]:
     """NF(sum_i (ranks[i], degrees[i]) T^(lo+i)) as rank and degree lists of length n+1.
 
-    ``rel`` holds the relation's lists rho_0 = (1, 0), ..., rho_{n+1}.  Synthetic
-    division, needed only past n+1 terms, leaves the class on exponents lo..lo+n;
-    then it is multiplied by NF(T^lo), by repeated squaring of NF(T) = T or, for
-    lo < 0, of NF(T^-1) = -sum_{q>=1} rho_q T^(q-1).  The gap costs O(n^2 log |lo|).
+    ``rel`` holds the relation's lists rho_0 = (1, 0), ..., rho_{n+1}.  Synthetic division,
+    needed only past n+1 terms, leaves the class on exponents lo..lo+n; then it is multiplied
+    by NF(T^lo), by repeated squaring of NF(T) = T or, for lo < 0, of NF(T^-1) = -sum_{q>=1}
+    rho_q T^(q-1), each product ``series._product`` then ``_divide``: O(n^2 log |lo|) for the gap.
     """
     rel_r, rel_d = rel
     top = len(rel_r) - 1
@@ -144,10 +144,10 @@ def _normal_form(rel, lo: int, ranks: list[int], degrees: list[int]) -> tuple[li
         xr, xd, lo = [-r for r in rel_r[1:]], [-d for d in rel_d[1:]], -lo
     while lo:
         if lo & 1:
-            ranks, degrees = _multiply(rel_r, rel_d, ranks, degrees, xr, xd)
+            ranks, degrees = _divide(rel_r, rel_d, *_product(ranks, degrees, xr, xd, 0, 2 * top - 1))
         lo >>= 1
         if lo:
-            xr, xd = _multiply(rel_r, rel_d, xr, xd, xr, xd)
+            xr, xd = _divide(rel_r, rel_d, *_product(xr, xd, xr, xd, 0, 2 * top - 1))
     return ranks, degrees
 
 
@@ -168,18 +168,6 @@ def _divide(rel_r, rel_d, ranks: list[int], degrees: list[int]) -> tuple[list[in
                 degrees[i - top + q] -= mr * rel_d[q] + md * rel_r[q]
     del ranks[top:], degrees[top:]
     return ranks, degrees
-
-
-def _multiply(rel_r, rel_d, ar, ad, br, bd) -> tuple[list[int], list[int]]:
-    """NF of the product of two normal forms: a schoolbook product, then :func:`_divide`."""
-    size = len(ar) + len(br) - 1
-    ranks, degrees = [0] * size, [0] * size
-    for i, (xr, xd) in enumerate(zip(ar, ad)):
-        if xr or xd:
-            for j, (yr, yd) in enumerate(zip(br, bd), i):
-                ranks[j] += xr * yr
-                degrees[j] += xr * yd + xd * yr
-    return _divide(rel_r, rel_d, ranks, degrees)
 
 
 def pullback(f: K0Class, spec: PnBundleSpec) -> BundleClass:

@@ -208,9 +208,9 @@ def _surface_report(surface: RuledSurface) -> dict:
     table = {f"{a}.{b}": str(x) for a, row in zip(names, lattice.ns_gram) for b, x in zip(names, row)}
     return {
         "intersection_table": table,
-        "gram_f1": [[str(x) for x in row] for row in lattice.gram],
-        "radical_basis": [[str(x) for x in vec] for vec in lattice.radical_basis],
-        "gram_ns": [[str(x) for x in row] for row in lattice.ns_gram],
+        "gram_f1": _echo(lattice.gram),
+        "radical_basis": _echo(lattice.radical_basis),
+        "gram_ns": _echo(lattice.ns_gram),
         "e_invariant": str(surface.e_invariant()),
     }
 

@@ -11,9 +11,9 @@ only: a polynomial is a lowest exponent ``lo`` plus dense ``ranks`` and
 ``degrees``, a series the ranks and degrees of c_0 .. c_N.  The kernels
 work on these lists; ``K0Class`` objects are built only for callers who
 ask for coefficients (``terms()``, ``coeff()``, ``coeffs``) or a
-``repr``.  Products of polynomials go through one big-integer
-multiplication per list pair (Kronecker substitution, by the slot codec
-this module owns); inversion and truncated products convolve directly.
+``repr``.  Polynomial products take one big-integer multiplication per
+list pair (Kronecker substitution, by this module's slot codec); inversion
+convolves directly, and truncated and normal-form products share ``_product``.
 """
 
 from __future__ import annotations
@@ -245,13 +245,7 @@ class TruncatedSeries:
         p._require_same_base(self)
         if p.lo < 0:
             raise NegativeExponent("cannot multiply a truncated series by T^-k terms")
-        ranks, degrees = self._ranks, self._degrees
-        out_r, out_d = [0] * len(ranks), [0] * len(ranks)
-        for e, cr, cd in zip(range(p.lo, len(ranks)), p.ranks, p.degrees):
-            for n, r, d in zip(range(e, len(ranks)), ranks, degrees):
-                out_r[n] += cr * r
-                out_d[n] += cr * d + cd * r
-        return TruncatedSeries._dense(self.base, out_r, out_d)
+        return self._dense(self.base, *_product(p.ranks, p.degrees, self._ranks, self._degrees, p.lo, len(self._ranks)))
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -321,6 +315,17 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
         return [0] * n
     w = _slot_width(bound.bit_length())
     return _unpack(_pack(a, w) * _pack(b, w), n, w)
+
+
+def _product(ar, ad, br, bd, lo: int, size: int) -> tuple[list[int], list[int]]:
+    """Entries 0..size-1 of (sum_i a_i T^(lo+i)) * (sum_j b_j T^j) by schoolbook, a_i = (ar[i], ad[i]), b_j alike."""
+    out_r, out_d = [0] * size, [0] * size
+    for e, xr, xd in zip(range(lo, size), ar, ad):
+        if xr or xd:
+            for n, yr, yd in zip(range(e, size), br, bd):
+                out_r[n] += xr * yr
+                out_d[n] += xr * yd + xd * yr
+    return out_r, out_d
 
 
 def _slot_width(bits: int) -> int:

@@ -2,15 +2,15 @@
 
 Each suite runs a family of exact identities over a grid of surfaces or
 random polynomials and counts passes and failures; the ``kzero verify``
-command drives them and exits nonzero if anything fails.  The
-intersection suite looks the Euler pairing up on the surface object at
-call time, so tests can substitute a deliberately wrong pairing and
-confirm the harness notices; the radical suite's Gram is walked inside
-``neron_severi`` and does not call it.  The radical that ``neron_severi``
-reads off the Gram is checked against an integer kernel, an independent
-route.  The Gram depends on deg E alone, so the suite solves one kernel
-per distinct Gram (2*dmax+1 of them) and checks every surface against
-it.  Failure messages are built only for checks that fail.  Exceptions
+command drives them and exits nonzero if anything fails.  The Euler
+pairing (on the surface object) and ``ruled_piece`` (in this module) are
+looked up at call time, so tests can substitute wrong ones and confirm
+the harness notices; the radical suite's Gram is walked inside
+``neron_severi`` and does not call the pairing.  The radical it reads off
+the Gram is checked against an integer kernel, an independent route.
+The Gram depends on deg E alone, so the suite solves one kernel per
+distinct Gram (2*dmax+1 of them) and checks every surface against it.
+Failure messages are built only for checks that fail.  Exceptions
 raised mid-check are counted as failures rather than aborting the sweep.
 
 The surface grid is the only parameter.  B_n is checked to degree 50,
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .base import curve
 from .intlinalg import integer_kernel
-from .series import LaurentPoly, TruncatedSeries, series_invert
+from .series import LaurentPoly, TruncatedSeries, ruled_piece, series_invert
 from .surface import RuledSurface
 
 MAX_RECORDED_FAILURES = 20
@@ -89,7 +89,7 @@ def rank_law_suite(dmax: int = 5) -> SuiteResult:
         try:
             s = RuledSurface.from_degrees(0, de, dq)
             inverted = series_invert(s.relation_poly(), RANK_LAW_NMAX)
-            pieces = TruncatedSeries(s.base, (s.hilbert_coeff(n) for n in range(RANK_LAW_NMAX + 1)))
+            pieces = TruncatedSeries._dense(s.base, *zip(*(ruled_piece(de, dq, n) for n in range(RANK_LAW_NMAX + 1))))
         except Exception as exc:
             res.check(False, f"rank law raised at {where()}: {exc!r}")
             res.check(False, f"series inversion unavailable at {where()}")

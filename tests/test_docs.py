@@ -5,7 +5,7 @@ import re
 from pathlib import Path
 
 import kzero
-from kzero import cli
+from kzero import cli, verify
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 BUDGETS = {"MAX_SPEC_BYTES", "MAX_SERIES_ORDER", "MAX_REPORT_DIGITS", "MAX_RANK_STEPS", "MAX_RANK_WORK", "MAX_GRID_SURFACES"}
@@ -25,3 +25,10 @@ def test_documented_budgets_equal_the_constants():
     for name, value in readme + docstring:
         assert int(value) == getattr(cli, name), name
     assert {name for name, _ in readme + docstring} == BUDGETS
+
+
+def test_documented_sweep_counts_equal_the_default_sweep():
+    text = README.read_text()
+    names = ("intersection", "rank-law", "inversion", "radical")
+    documented = [int(re.search(rf"([\d,]+)\s+{name}\s+checks", text)[1].replace(",", "")) for name in names]
+    assert [(r.passed, r.failed) for r in verify.run_all()] == [(n, 0) for n in documented]

@@ -19,6 +19,7 @@ from kzero import (
     series_invert,
 )
 from kzero.bundle import PnBundleSpec
+from kzero.series import _product
 
 
 def random_poly(rng, base, max_deg=5, min_exp=-5):
@@ -162,6 +163,47 @@ def test_truncated_product_rejects_negative_exponents():
     s = TruncatedSeries.one(x, 3)
     with pytest.raises(NegativeExponent):
         s.mul_poly(LaurentPoly(x, {-1: x.one}))
+
+
+def object_product(base, ar, ad, br, bd, lo, size):
+    """Entries 0..size-1 of (sum_i a_i T^(lo+i)) * (sum_j b_j T^j), multiplying K0Class objects term by term."""
+    out = [base.zero] * size
+    for i, a in enumerate(map(base.k0, ar, ad)):
+        for j, b in enumerate(map(base.k0, br, bd)):
+            if lo + i + j < size:
+                out[lo + i + j] += a * b
+    return [c.rank for c in out], [c.degree for c in out]
+
+
+@pytest.mark.parametrize(
+    "ar, ad, br, bd, lo, size",
+    [
+        ([1, 2], [3, -1], [4, 0, -2], [1, 5, 0], 0, 4),  # the full product
+        ([1, 2], [3, -1], [4, 0, -2], [1, 5, 0], 2, 6),  # lo > 0
+        ([1, 2, 7], [3, -1, 2], [4, 0, -2], [1, 5, 0], 1, 3),  # truncated below the full length
+        ([0, 0, 5, 0], [0, 0, 1, 0], [2, 3], [-1, 4], 0, 5),  # zero terms in the first factor
+        ([0, 1], [2, 0], [1], [0], 0, 2),  # a torsion term (0, 2) is not skipped
+        ([], [], [4, 0, -2], [1, 5, 0], 0, 3),  # an empty first factor
+        ([1, 2], [3, -1], [], [], 1, 3),  # an empty second factor
+        ([1, 2], [3, -1], [4], [1], 5, 3),  # lo past the size: nothing lands
+        ([1], [0], [1], [0], 0, 0),  # no entries asked for
+    ],
+)
+def test_product_matches_the_object_level_schoolbook(ar, ad, br, bd, lo, size):
+    x = curve(1)
+    assert _product(ar, ad, br, bd, lo, size) == object_product(x, ar, ad, br, bd, lo, size)
+
+
+coefficient_lists = st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), max_size=7).map(
+    lambda terms: ([r for r, _ in terms], [d for _, d in terms])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coefficient_lists, coefficient_lists, st.integers(0, 6), st.integers(0, 16))
+def test_product_matches_the_object_level_schoolbook_on_random_lists(a, b, lo, size):
+    x = curve(0)
+    assert _product(*a, *b, lo, size) == object_product(x, *a, *b, lo, size)
 
 
 # -- ruled Hilbert coefficients -----------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 import kzero.verify
 import reference
-from kzero import LaurentPoly, RuledSurface, TruncatedSeries, curve, point, series_invert
+from kzero import K0Class, LaurentPoly, RuledSurface, TruncatedSeries, curve, point, series_invert
 from kzero.cli import main
 from kzero.series import ruled_piece
 from kzero.verify import (
@@ -54,12 +54,18 @@ def test_smallest_grid_check_counts():
     ],
 )
 def test_rank_law_suite_catches_an_off_by_one_hilbert_coeff(monkeypatch, wrong_piece, failed):
-    def hilbert_coeff(self, n):
-        return self.base.k0(*wrong_piece(self.E.degree, self.Q.degree, n))
-
-    monkeypatch.setattr(RuledSurface, "hilbert_coeff", hilbert_coeff)
+    monkeypatch.setattr(kzero.verify, "ruled_piece", wrong_piece)
     res = rank_law_suite()
     assert (res.passed + res.failed, res.failed) == (242, failed)
+
+
+def test_rank_law_suite_builds_only_the_surface_classes(monkeypatch):
+    # two K0Class objects per grid pair, E and Q of the surface: no piece goes through a class
+    built = []
+    post_init = K0Class.__post_init__
+    monkeypatch.setattr(K0Class, "__post_init__", lambda c: built.append(c) or post_init(c))
+    res = rank_law_suite()
+    assert (res.passed, res.failed, len(built)) == (242, 0, 242)
 
 
 def inversion_trials():
@@ -107,7 +113,7 @@ def _raise(*args):
 
 @pytest.mark.parametrize(
     "owner, name",
-    [(kzero.verify, "series_invert"), (RuledSurface, "from_degrees"), (RuledSurface, "hilbert_coeff")],
+    [(kzero.verify, "series_invert"), (RuledSurface, "from_degrees"), (kzero.verify, "ruled_piece")],
 )
 def test_a_pair_that_raises_fails_both_of_its_rank_law_checks(monkeypatch, owner, name):
     monkeypatch.setattr(owner, name, _raise)
