@@ -32,7 +32,7 @@ class BaseSpace:
     def __post_init__(self):
         if self.kind not in (POINT, CURVE):
             raise ValidationError(f"unknown base kind {self.kind!r}")
-        if not isinstance(self.genus, int) or self.genus < 0:
+        if type(self.genus) is not int or self.genus < 0:
             raise ValidationError("genus must be a non-negative integer")
         if self.kind == POINT and self.genus != 0:
             raise ValidationError("a point has no genus")
@@ -84,7 +84,7 @@ class K0Class:
     degree: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.rank, int) or not isinstance(self.degree, int):
+        if type(self.rank) is not int or type(self.degree) is not int:
             raise ValidationError("rank and degree must be integers")
         if self.degree and self.base.is_point:
             raise ValidationError("classes over a point have degree 0")

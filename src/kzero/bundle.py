@@ -42,7 +42,7 @@ class PnBundleSpec:
     _relation: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if type(self.n) is not int or self.n < 1:
             raise ValidationError("fiber dimension n must be a positive integer")
         object.__setattr__(self, "koszul", tuple(self.koszul))
         if len(self.koszul) != self.n + 2:

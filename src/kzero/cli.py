@@ -161,7 +161,8 @@ def jobspec_to_dict(job: JobSpec) -> dict:
 
 def _poly_json(p: LaurentPoly) -> dict:
     # relation coefficients are job inputs, which were parsed within the int-to-string digit limit
-    return {str(e): {"rank": str(c.rank), "degree": str(c.degree)} for e, c in p.terms()}
+    terms = enumerate(zip(p.ranks, p.degrees), p.lo)
+    return {str(e): {"rank": str(r), "degree": str(d)} for e, (r, d) in terms if r or d}
 
 
 def _hilbert_ranks(relation: LaurentPoly, order: int, n: int | None) -> list[Decimal]:

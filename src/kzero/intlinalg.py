@@ -14,20 +14,20 @@ log from last to first, (k, p, q) mapping v_p -= q * v_k and a swap
 exchanging entries k and p.  These are the very vectors that carrying U
 beside the columns would give.
 
-The loop runs on packed columns, built by Horner's rule from the last
-row.  Each column that is not yet a pivot is one Python int: its entry j
-sits in a signed ``width``-bit slot at bit ``width * j``, counted from
-the current row, so a pivot entry reads as ``((P & mask) ^ half) -
-half``, a column operation is one big-integer ``P_k -= q * P_p``, and
-once a row is done the remaining columns shift right by one slot (their
-slot-0 entries are zero by then).  A bound b_k >= max |entry| grows as
-b_k + |q| b_p with each operation and keeps every slot below ``half =
+The loop runs on packed columns, written by ``_pack``, the codec
+(with ``_slot_width`` and ``_unpack``) that ``series`` multiplies with.
+Each column that is not yet a pivot is one Python int: its entry j sits
+in a signed ``width``-bit slot at bit ``width * j``, counted from the
+current row, so a pivot entry reads as ``((P & mask) ^ half) - half``, a
+column operation is one big-integer ``P_k -= q * P_p``, and once a row
+is done the remaining columns shift right by one slot (their slot-0
+entries are zero by then).  A bound b_k >= max |entry| grows as b_k +
+|q| b_p with each operation and keeps every slot below ``half =
 2**(width - 1)`` in magnitude, so the packed sum decodes slot by slot.
 When an operation would break that, the pivot's bound is reset to its
 true maximum; if that is not enough, every column is repacked at its
 true maxima, in slots as wide as the new bound needs but never narrower.
-Slots have ``HEADROOM_BITS`` to spare; the codec (``_slot_width``,
-``_pack``, ``_unpack``) is the one ``series`` multiplies with.
+Slots have ``HEADROOM_BITS`` to spare.
 
 Cost model: the loop pays one interpreter step per column operation
 plus big-integer work linear in the column's bits, and the replay one
@@ -85,10 +85,7 @@ def integer_kernel(mat) -> list[list[int]]:
         return []
     bound = [max(map(abs, col)) for col in zip(*rows)]
     width = _slot_width(max(bound).bit_length() + HEADROOM_BITS)
-    # column j is sum rows[i][j] * 2^(width*i), by Horner's rule from the last row
-    packed = [0] * n
-    for row in reversed(rows):
-        packed = [(P << width) + x for P, x in zip(packed, row)]
+    packed = [_pack(col, width) for col in zip(*rows)]
     log = []
     rank = 0
     while slots:

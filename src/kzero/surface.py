@@ -65,7 +65,7 @@ class RuledSurface:
     _relation: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (isinstance(self.genus, int) and (self.E.base.kind, self.E.base.genus) == (CURVE, self.genus)):
+        if not (type(self.genus) is int and (self.E.base.kind, self.E.base.genus) == (CURVE, self.genus)):
             raise BaseMismatch(f"E and Q must live over {curve(self.genus)!r}")
         _check_ruled_pair(self.E, self.Q)
         object.__setattr__(self, "_relation", ([1, -self.E.rank, self.Q.rank], [0, -self.E.degree, self.Q.degree]))

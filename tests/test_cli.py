@@ -20,6 +20,7 @@ import kzero.cli
 import kzero.verify
 from kzero import (
     InvariantViolation,
+    K0Class,
     LaurentPoly,
     ParseError,
     PnBundleSpec,
@@ -708,6 +709,17 @@ def test_report_json_is_json_dumps_with_indent_two(job):
 def test_report_json_is_json_dumps_with_indent_two_on_seeded_reports(doc):
     report = run(jobspec_from_dict(doc))
     assert _report_json(report) == json.dumps(report, indent=2)
+
+
+def test_the_relation_block_of_a_long_point_relation_builds_no_class_per_term(monkeypatch):
+    # the report prints each coefficient's rank and degree straight from the relation's integer lists
+    built = []
+    post_init = K0Class.__post_init__
+    monkeypatch.setattr(K0Class, "__post_init__", lambda c: built.append(c) or post_init(c))
+    coeffs = [1] + [(-1) ** k * k for k in range(1, 999)] + [-1]
+    report = run(jobspec_from_dict({"mode": "point", "parameters": {"relation": coeffs}, "series_order": 3}))
+    assert len(report["relation"]) == 1000 and report["relation"]["998"] == {"rank": "998", "degree": "0"}
+    assert len(built) < 10
 
 
 def test_reused_parser_leaks_no_state_between_calls(tmp_path, monkeypatch, capsys):

@@ -177,7 +177,8 @@ def test_tight_slots_reset_the_pivot_bound_and_repack_and_still_match_the_refere
     # with little headroom both overflow steps fire often: a pivot reset
     # unpacks the pivot ("U"), and a repack that follows it unpacks every
     # live column, then packs them all ("U...UP...P") in slots that must
-    # never narrow; the first packing is by Horner's rule, not by _pack
+    # never narrow; each kernel's trace opens with the first packing, one
+    # _pack per column
     events, widths = [], []
     pack, unpack = intlinalg._pack, intlinalg._unpack
 
@@ -194,20 +195,27 @@ def test_tight_slots_reset_the_pivot_bound_and_repack_and_still_match_the_refere
     monkeypatch.setattr(intlinalg, "_pack", counted_pack)
     monkeypatch.setattr(intlinalg, "_unpack", counted_unpack)
     rng = random.Random(f"headroom {headroom}")
+    repacks = resets = 0
     for k in range(400):
         if k % 2:
             a = random_matrix(rng, rng.randint(1, 8), rng.randint(2, 9), rng.choice((1, 9, 1000, 2**40)))
         else:
             n = rng.randint(6, 14)
             a = random_matrix(rng, n - rng.randint(0, 3), n, 50)
+        events.clear()
         widths.clear()
         assert integer_kernel(a) == integer_kernel_reference(a)
         assert widths == sorted(widths)
-    # each repack shows one "UP" and unpacks as many columns as it packs,
-    # so the unpacks beyond the packs are the pivot resets; more resets
-    # than repacks means some resets were enough on their own
-    trace = "".join(events)
-    repacks, resets = trace.count("UP"), trace.count("U") - trace.count("P")
+        # after the opening packs, each repack shows one "UP" and unpacks
+        # as many columns as it packs, so the unpacks beyond the packs are
+        # the pivot resets
+        trace = "".join(events)
+        columns = len(a[0])
+        assert trace[:columns] == "P" * columns and not trace[columns:].startswith("P")
+        trace = trace[columns:]
+        repacks += trace.count("UP")
+        resets += trace.count("U") - trace.count("P")
+    # more resets than repacks means some resets were enough on their own
     assert repacks > 0 and resets > repacks
 
 

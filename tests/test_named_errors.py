@@ -30,6 +30,10 @@ SERIES = series_invert(LaurentPoly(X, {0: X.one, 1: X.k0(2, 1)}), 3)
 CASES = {
     "unknown base kind": (ValidationError, lambda: BaseSpace("torus")),
     "float rank": (ValidationError, lambda: K0Class(X, 1.0)),
+    "bool rank": (ValidationError, lambda: K0Class(X, True, False)),
+    "bool genus": (ValidationError, lambda: curve(True)),
+    "bool fiber dimension": (ValidationError, lambda: PnBundleSpec(X, True, (X.one, X.k0(2), X.k0(1)))),
+    "bool surface genus": (ValidationError, lambda: RuledSurface(True, X.k0(2, 1), X.k0(1))),
     "Koszul class over another base": (BaseMismatch, lambda: PnBundleSpec(X, 1, (X.one, Y.k0(2), X.k0(1)))),
     "n coefficients for n + 1 slots": (ValidationError, lambda: BundleClass(P1, (X.one,))),
     "bundle coefficient over another base": (BaseMismatch, lambda: BundleClass(P1, (X.one, Y.one))),
