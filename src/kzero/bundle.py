@@ -161,11 +161,10 @@ def _divide(rel_r, rel_d, ranks: list[int], degrees: list[int]) -> tuple[list[in
     lead_r, lead_d = rel_r[top], rel_d[top]
     for i in range(len(ranks) - 1, top - 1, -1):
         r, d = ranks[i], degrees[i]
-        if r or d:
-            mr, md = r * lead_r, d * lead_r - r * lead_d
-            for q in range(top):
-                ranks[i - top + q] -= mr * rel_r[q]
-                degrees[i - top + q] -= mr * rel_d[q] + md * rel_r[q]
+        mr, md = r * lead_r, d * lead_r - r * lead_d
+        for q in range(top):
+            ranks[i - top + q] -= mr * rel_r[q]
+            degrees[i - top + q] -= mr * rel_d[q] + md * rel_r[q]
     del ranks[top:], degrees[top:]
     return ranks, degrees
 

@@ -376,13 +376,13 @@ def _parser() -> argparse.ArgumentParser:
     runp = sub.add_parser("run", help="compute a report for one job")
     runp.add_argument("--spec", metavar="FILE.json", help="JSON job document (wins over flags)")
     runp.add_argument("--json", action="store_true", help="emit the machine-readable report")
-    runp.add_argument("--series-order", type=int, dest="series_order", metavar="N")
+    runp.add_argument("--series-order", dest="series_order", metavar="N")
     runp.add_argument("--mode", choices=MODES)
-    runp.add_argument("--genus", type=int)
+    runp.add_argument("--genus")
     runp.add_argument("--point", action="store_true", help="use a point base")
-    runp.add_argument("--deg-e", type=int, dest="deg_e")
-    runp.add_argument("--deg-q", type=int, dest="deg_q")
-    runp.add_argument("--n", type=int, help="fiber dimension for pnbundle mode")
+    runp.add_argument("--deg-e", dest="deg_e")
+    runp.add_argument("--deg-q", dest="deg_q")
+    runp.add_argument("--n", help="fiber dimension for pnbundle mode")
     runp.add_argument(
         "--koszul",
         type=lambda s: [pair.split(":") for pair in s.split(",")],

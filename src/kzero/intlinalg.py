@@ -145,7 +145,7 @@ def _replay(log: list[tuple[int, int, int]], rank: int, n: int) -> list[list[int
         for k, p, q in reversed(log):
             if not q:
                 v[k], v[p] = v[p], v[k]
-            elif x := v[k]:
-                v[p] -= q * x
+            else:
+                v[p] -= q * v[k]
         basis.append(v)
     return basis

@@ -127,7 +127,7 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._require_same_base(other)
-        if not self.ranks or not other.ranks:
+        if not self.ranks or not other.ranks:  # zero's lo = 0 is no exponent: 0 + T^k would span 0..k
             return other if not self.ranks else self
         lo = min(self.lo, other.lo)
         size = max(self.lo + len(self.ranks), other.lo + len(other.ranks)) - lo
@@ -202,7 +202,7 @@ class TruncatedSeries:
         if not coeffs:
             raise ValidationError("a truncated series needs at least order 0")
         for c in coeffs:
-            if c.base is not base and c.base != base:
+            if c.base != base:
                 raise BaseMismatch(f"coefficient base {c.base!r} != {base!r}")
         self.base = base
         self._ranks = tuple(c.rank for c in coeffs)
@@ -321,10 +321,9 @@ def _product(ar, ad, br, bd, lo: int, size: int) -> tuple[list[int], list[int]]:
     """Entries 0..size-1 of (sum_i a_i T^(lo+i)) * (sum_j b_j T^j) by schoolbook, a_i = (ar[i], ad[i]), b_j alike."""
     out_r, out_d = [0] * size, [0] * size
     for e, xr, xd in zip(range(lo, size), ar, ad):
-        if xr or xd:
-            for n, yr, yd in zip(range(e, size), br, bd):
-                out_r[n] += xr * yr
-                out_d[n] += xr * yd + xd * yr
+        for n, yr, yd in zip(range(e, size), br, bd):
+            out_r[n] += xr * yr
+            out_d[n] += xr * yd + xd * yr
     return out_r, out_d
 
 
@@ -374,5 +373,7 @@ def hilbert_coeff_ruled(E: K0Class, Q: K0Class, n: int) -> K0Class:
     equivalently the T^n coefficient of 1/(1 - E T + Q T^2).  The rank of
     B_n is n+1 for every n >= 0.  Evaluated in O(1) by :func:`ruled_piece`.
     """
+    if not isinstance(n, int):
+        raise ValidationError(f"degree {n!r} is not an integer")
     _check_ruled_pair(E, Q)
     return E.base.k0(*ruled_piece(E.degree, Q.degree, n))

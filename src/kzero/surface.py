@@ -47,8 +47,8 @@ from dataclasses import dataclass, field
 
 from .base import CURVE, K0Class, curve
 from .bundle import PnBundleSpec, _normal_form
-from .errors import BaseMismatch, InvariantViolation
-from .series import LaurentPoly, _check_ruled_pair, ruled_piece
+from .errors import BaseMismatch, InvariantViolation, ValidationError
+from .series import LaurentPoly, _check_ruled_pair, hilbert_coeff_ruled
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,9 @@ class RuledSurface:
     _relation: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (type(self.genus) is int and (self.E.base.kind, self.E.base.genus) == (CURVE, self.genus)):
+        if type(self.genus) is not int or self.genus < 0:
+            raise ValidationError("genus must be a non-negative integer")
+        if (self.E.base.kind, self.E.base.genus) != (CURVE, self.genus):
             raise BaseMismatch(f"E and Q must live over {curve(self.genus)!r}")
         _check_ruled_pair(self.E, self.Q)
         object.__setattr__(self, "_relation", ([1, -self.E.rank, self.Q.rank], [0, -self.E.degree, self.Q.degree]))
@@ -81,7 +83,7 @@ class RuledSurface:
 
     def hilbert_coeff(self, n: int) -> K0Class:
         """Class B_n of the degree-n piece of the coordinate ring."""
-        return self.base.k0(*ruled_piece(self.E.degree, self.Q.degree, n))
+        return hilbert_coeff_ruled(self.E, self.Q, n)
 
     def bundle_spec(self) -> PnBundleSpec:
         return PnBundleSpec(self.base, 1, (self.base.one, self.E, self.Q))
@@ -171,7 +173,7 @@ class RuledSurface:
         return IntersectionLattice(basis, names, gram, ((0, 1, 0),), (u, w), ("fiber", "H"), ns_gram)
 
     def _require_own(self, c: SurfaceClass) -> None:
-        if c.surface is not self and c.surface != self:
+        if c.surface != self:
             raise BaseMismatch("class belongs to a different surface")
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import product
 
 from .base import curve
 from .intlinalg import integer_kernel
@@ -60,10 +61,8 @@ class SuiteResult:
 
 
 def _grid(gmax: int, dmax: int):
-    for g in range(0, gmax + 1):
-        for de in range(-dmax, dmax + 1):
-            for dq in range(-dmax, dmax + 1):
-                yield g, de, dq
+    degrees = range(-dmax, dmax + 1)
+    return product(range(gmax + 1), degrees, degrees)  # genus, then deg E, then deg Q
 
 
 def intersection_suite(gmax: int = 5, dmax: int = 5) -> SuiteResult:

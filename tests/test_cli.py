@@ -168,6 +168,32 @@ def test_flags_equivalent_to_json(capsys):
     assert by_flags["e_invariant"] == "1"
 
 
+# flag -> (the rest of its job as flags, the same job as a document whose field reads "x")
+BAD_INTEGER_FIELDS = {
+    "--series-order": (["--mode", "ruled", "--genus", "0", "--deg-e", "0", "--deg-q", "0"], ruled_doc("0", "0", "0", "x")),
+    "--genus": (["--mode", "ruled", "--deg-e", "0", "--deg-q", "0"], ruled_doc("x", "0", "0")),
+    "--deg-e": (["--mode", "ruled", "--genus", "0", "--deg-q", "0"], ruled_doc("0", "x", "0")),
+    "--deg-q": (["--mode", "ruled", "--genus", "0", "--deg-e", "0"], ruled_doc("0", "0", "x")),
+    "--n": (
+        ["--mode", "pnbundle", "--point", "--koszul", "1:0,2:0,1:0"],
+        {"mode": "pnbundle", "base": {"kind": "point"}, "parameters": {"n": "x", "koszul": [["1", "0"], ["2", "0"], ["1", "0"]]}},
+    ),
+}
+
+
+@pytest.mark.parametrize("flag", BAD_INTEGER_FIELDS)
+def test_a_bad_integer_flag_and_the_same_bad_document_field_give_one_error(flag, tmp_path, capsys):
+    # jobspec_from_dict reads every job integer, from flags and documents alike
+    argv, doc = BAD_INTEGER_FIELDS[flag]
+    assert main(["run", *argv, flag, "x"]) == 1
+    by_flag = capsys.readouterr()
+    spec = tmp_path / "job.json"
+    spec.write_text(json.dumps(doc))
+    assert main(["run", "--spec", str(spec)]) == 1
+    assert capsys.readouterr() == by_flag
+    assert by_flag.out == "" and by_flag.err.startswith("error: ") and by_flag.err.endswith(" is not a decimal integer: 'x'\n")
+
+
 def test_json_wins_over_flags(tmp_path, capsys):
     spec = tmp_path / "job.json"
     spec.write_text(json.dumps(ruled_doc("0", "-2", "0", "4")))

@@ -13,13 +13,14 @@ equality and hashing are structural.
 
 import math
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from kzero import BaseMismatch, LaurentPoly, PnBundleSpec, TruncatedSeries, curve, point, reduce_poly
+from kzero import BaseMismatch, LaurentPoly, PnBundleSpec, RuledSurface, TruncatedSeries, curve, point, reduce_poly
 from kzero.series import _convolve
 
 BIG = st.sampled_from((2**64, -(2**64), 2**64 - 1, 10**60, -(10**60)))
@@ -244,3 +245,24 @@ def test_series_equality_and_hash_follow_the_coefficients(genus, pairs, data):
     if s == t:
         assert hash(s) == hash(t)
     assert TruncatedSeries(x, s.coeffs) == s and s.ranks() == tuple(r for r, _ in pairs)
+
+
+def test_adding_zero_to_a_far_monomial_allocates_no_span():
+    # zero stores lo = 0, which is no exponent; __add__ returns the other operand, or 0 + T^k would allocate 0..k
+    x, far = curve(1), 10**6
+    s = RuledSurface.from_degrees(1, 1, 0)
+    zero, high, low = LaurentPoly.zero(x), LaurentPoly.monomial(x.one, far), LaurentPoly.monomial(x.one, -far)
+    cases = [
+        (lambda: zero + high, high),
+        (lambda: low - low + high, high),
+        (lambda: (s.class_of({}) + s.structure_class(-far)).rep, high),
+    ]
+    for total, want in cases:
+        tracemalloc.start()
+        try:
+            got = total()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 1 << 20

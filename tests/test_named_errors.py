@@ -17,6 +17,7 @@ from kzero import (
     TruncatedSeries,
     ValidationError,
     curve,
+    hilbert_coeff_ruled,
     point,
     series_invert,
 )
@@ -34,6 +35,11 @@ CASES = {
     "bool genus": (ValidationError, lambda: curve(True)),
     "bool fiber dimension": (ValidationError, lambda: PnBundleSpec(X, True, (X.one, X.k0(2), X.k0(1)))),
     "bool surface genus": (ValidationError, lambda: RuledSurface(True, X.k0(2, 1), X.k0(1))),
+    "float surface genus": (ValidationError, lambda: RuledSurface(1.5, X.k0(2, 1), X.k0(1))),
+    "negative surface genus": (ValidationError, lambda: RuledSurface(-1, X.k0(2, 1), X.k0(1))),
+    "surface genus other than its classes'": (BaseMismatch, lambda: RuledSurface(2, X.k0(2, 1), X.k0(1))),
+    "float Hilbert degree of a surface": (ValidationError, lambda: SURFACE.hilbert_coeff(2.5)),
+    "string Hilbert degree": (ValidationError, lambda: hilbert_coeff_ruled(X.k0(2, 1), X.k0(1), "3")),
     "Koszul class over another base": (BaseMismatch, lambda: PnBundleSpec(X, 1, (X.one, Y.k0(2), X.k0(1)))),
     "n coefficients for n + 1 slots": (ValidationError, lambda: BundleClass(P1, (X.one,))),
     "bundle coefficient over another base": (BaseMismatch, lambda: BundleClass(P1, (X.one, Y.one))),
