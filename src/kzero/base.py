@@ -102,11 +102,9 @@ class K0Class:
         self._require_same_base(other)
         return K0Class(self.base, self.rank + other.rank, self.degree + other.degree)
 
-    def __sub__(self, other: K0Class) -> K0Class:
-        if not isinstance(other, K0Class):
-            return NotImplemented
-        self._require_same_base(other)
-        return K0Class(self.base, self.rank - other.rank, self.degree - other.degree)
+    def __sub__(self, other):
+        """self + (-other); the one subtraction, which the other class types bind as their own."""
+        return self + (-other) if isinstance(other, type(self)) else NotImplemented
 
     def __neg__(self) -> K0Class:
         return K0Class(self.base, -self.rank, -self.degree)
@@ -135,7 +133,7 @@ class K0Class:
     def inverse(self) -> K0Class:
         if not self.is_unit():
             raise NotAUnit(f"rank {self.rank} class has no inverse")
-        return K0Class(self.base, self.rank, -self.degree)
+        return self.dual()  # (r, d) * (r, -d) = (1, 0) for r = +-1
 
     def __repr__(self):
         return f"({self.rank},{self.degree})"

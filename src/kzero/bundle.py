@@ -99,10 +99,7 @@ class BundleClass:
             raise BaseMismatch("classes belong to different bundle specs")
         return BundleClass(self.spec, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __sub__(self, other: BundleClass) -> BundleClass:
-        if not isinstance(other, BundleClass):
-            return NotImplemented
-        return self + (-other)
+    __sub__ = K0Class.__sub__
 
     def __neg__(self) -> BundleClass:
         return BundleClass(self.spec, tuple(-c for c in self.coeffs))

@@ -11,9 +11,9 @@ only: a polynomial is a lowest exponent ``lo`` plus dense ``ranks`` and
 ``degrees``, a series the ranks and degrees of c_0 .. c_N.  The kernels
 work on these lists; ``K0Class`` objects are built only for callers who
 ask for coefficients (``terms()``, ``coeff()``, ``coeffs``) or a
-``repr``.  Polynomial products take one big-integer multiplication per
-list pair (Kronecker substitution, by this module's slot codec); inversion
-convolves directly, and truncated and normal-form products share ``_product``.
+``repr``.  Two polynomials multiply by one big-integer product per list
+pair (Kronecker substitution, by the slot codec); scalar, truncated and
+normal-form products share ``_product``; inversion convolves directly.
 """
 
 from __future__ import annotations
@@ -138,10 +138,7 @@ class LaurentPoly:
                 degrees[i] += d
         return LaurentPoly._dense(self.base, lo, ranks, degrees)
 
-    def __sub__(self, other: LaurentPoly) -> LaurentPoly:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
+    __sub__ = K0Class.__sub__
 
     def __neg__(self) -> LaurentPoly:
         return self * -1
@@ -168,8 +165,7 @@ class LaurentPoly:
             r, d = other, 0
         else:
             return NotImplemented
-        degrees = [r * y + d * x for x, y in zip(self.ranks, self.degrees)]
-        return LaurentPoly._dense(self.base, self.lo, [r * x for x in self.ranks], degrees)
+        return LaurentPoly._dense(self.base, self.lo, *_product([r], [d], self.ranks, self.degrees, 0, len(self.ranks)))
 
     __rmul__ = __mul__
 

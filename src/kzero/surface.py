@@ -88,9 +88,7 @@ class RuledSurface:
     def bundle_spec(self) -> PnBundleSpec:
         return PnBundleSpec(self.base, 1, (self.base.one, self.E, self.Q))
 
-    def relation_poly(self) -> LaurentPoly:
-        """1 - E T + Q T^2, the generator of the relation ideal."""
-        return LaurentPoly._dense(self.base, 0, *self._relation)
+    relation_poly = PnBundleSpec.relation_poly  # 1 - E T + Q T^2
 
     # -- classes -----------------------------------------------------
 
@@ -215,10 +213,7 @@ class SurfaceClass:
         self.surface._require_own(other)
         return SurfaceClass(self.surface, self.rep + other.rep)
 
-    def __sub__(self, other: SurfaceClass) -> SurfaceClass:
-        if not isinstance(other, SurfaceClass):
-            return NotImplemented
-        return self + (-other)
+    __sub__ = K0Class.__sub__
 
     def __neg__(self) -> SurfaceClass:
         return SurfaceClass(self.surface, -self.rep)

@@ -2,7 +2,9 @@
 
 The report path solves no integer kernel: ``surface`` reads the radical
 off the Gram.  ``series`` owns the packed-slot codec, and ``intlinalg``
-imports it from there, so the dependency runs one way only.
+imports it from there, so the dependency runs one way only.  Subtraction
+and the relation polynomial have one body each, which the other class
+types bind.
 """
 
 import ast
@@ -39,6 +41,16 @@ def test_the_slot_codec_is_defined_only_in_series():
     for path in SRC.glob("*.py"):
         defined = {node.name for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.FunctionDef)}
         assert defined & codec == (codec if path.name == "series.py" else set()), path.name
+
+
+def test_subtraction_and_the_relation_polynomial_each_have_one_body():
+    defs = [
+        node.name
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef)
+    ]
+    assert (defs.count("__sub__"), defs.count("relation_poly")) == (1, 1)
 
 
 def test_each_import_form_is_seen():

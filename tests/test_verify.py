@@ -144,6 +144,38 @@ def test_verify_exits_two_when_a_rank_law_check_raises(monkeypatch, capsys):
     assert out.endswith("verification FAILED (202 failures)\n")
 
 
+@pytest.mark.parametrize("name", ["from_degrees", "fiber_class", "section_class"])
+def test_a_surface_whose_classes_raise_fails_its_four_intersection_checks(monkeypatch, name):
+    monkeypatch.setattr(RuledSurface, name, _raise)
+    res = kzero.verify.intersection_suite(0, 0)
+    assert (res.passed, res.failed) == (0, 4)
+    assert res.failures == [
+        "intersection classes raised at (g=0, deg E=0, deg Q=0): ArithmeticError('broken')",
+        *["intersection numbers unavailable at (g=0, deg E=0, deg Q=0)"] * 3,
+    ]
+
+
+def test_a_surface_that_cannot_be_built_fails_both_of_its_radical_checks(monkeypatch):
+    monkeypatch.setattr(RuledSurface, "from_degrees", _raise)
+    res = kzero.verify.radical_suite(0, 0)
+    assert (res.passed, res.failed) == (0, 2)
+    assert res.failures == [
+        "lattice computation raised at (g=0, deg E=0, deg Q=0): ArithmeticError('broken')",
+        "quotient Gram unavailable at (g=0, deg E=0, deg Q=0)",
+    ]
+
+
+def test_verify_exits_two_without_a_traceback_when_the_fiber_class_raises(monkeypatch, capsys):
+    monkeypatch.setattr(RuledSurface, "fiber_class", _raise)
+    assert main(["verify", "--grid", "0,0"]) == 2
+    out, err = capsys.readouterr()
+    assert "intersection identities: passed=0 failed=4\n" in out
+    assert "  FAIL intersection numbers unavailable at (g=0, deg E=0, deg Q=0)\n" in out
+    assert "radical and Neron-Severi lattice: passed=0 failed=2\n" in out
+    assert out.endswith("verification FAILED (6 failures)\n")
+    assert "Traceback" not in out + err
+
+
 def test_a_wrong_kernel_fails_exactly_the_radical_checks(monkeypatch, capsys):
     # the radical suite checks neron_severi's radical against its own integer kernel
     monkeypatch.setattr(kzero.verify, "integer_kernel", lambda mat: [[0, 2, 0]])
