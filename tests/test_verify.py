@@ -155,6 +155,42 @@ def test_a_surface_whose_classes_raise_fails_its_four_intersection_checks(monkey
     ]
 
 
+def _is_h_h(s, a, b):
+    return a == b == s.section_class()
+
+
+def test_the_intersection_suite_catches_a_wrong_h_h_pairing(monkeypatch):
+    # neron_severi walks its own Gram, so a wrong pairing fails the intersection checks alone
+    intersect = RuledSurface.intersect
+    monkeypatch.setattr(RuledSurface, "intersect", lambda s, a, b: intersect(s, a, b) + _is_h_h(s, a, b))
+    results = run_all(0, 1)
+    assert counts(results) == [
+        ("intersection identities", 27, 9),
+        ("hilbert rank law", 18, 0),
+        ("series inversion identity", 200, 0),
+        ("radical and Neron-Severi lattice", 18, 0),
+    ]
+    assert results[0].failures[0] == "H.H != deg E at (g=0, deg E=-1, deg Q=-1)"
+    assert all(m.startswith("H.H != deg E at ") for m in results[0].failures)
+
+
+def test_a_pairing_that_raises_fails_all_four_intersection_checks_of_its_surface(monkeypatch, capsys):
+    intersect = RuledSurface.intersect
+    monkeypatch.setattr(RuledSurface, "intersect", lambda s, a, b: _raise() if _is_h_h(s, a, b) else intersect(s, a, b))
+    res = kzero.verify.intersection_suite(0, 0)
+    assert (res.passed, res.failed) == (0, 4)
+    assert res.failures == [
+        "intersection classes raised at (g=0, deg E=0, deg Q=0): ArithmeticError('broken')",
+        *["intersection numbers unavailable at (g=0, deg E=0, deg Q=0)"] * 3,
+    ]
+    assert main(["verify", "--grid", "0,0"]) == 2
+    out, err = capsys.readouterr()
+    assert "intersection identities: passed=0 failed=4\n" in out
+    assert "radical and Neron-Severi lattice: passed=2 failed=0\n" in out
+    assert out.endswith("verification FAILED (4 failures)\n")
+    assert "Traceback" not in out + err
+
+
 def test_a_surface_that_cannot_be_built_fails_both_of_its_radical_checks(monkeypatch):
     monkeypatch.setattr(RuledSurface, "from_degrees", _raise)
     res = kzero.verify.radical_suite(0, 0)
