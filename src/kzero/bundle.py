@@ -83,8 +83,7 @@ class BundleClass:
                 f"normal form needs {self.spec.n + 1} coefficients, got {len(self.coeffs)}"
             )
         for c in self.coeffs:
-            if c.base != self.spec.base:
-                raise BaseMismatch(f"coefficient over {c.base!r}, spec over {self.spec.base!r}")
+            c._require_same_base(self.spec)
 
     def as_poly(self) -> LaurentPoly:
         return LaurentPoly(self.spec.base, dict(enumerate(self.coeffs)))
@@ -115,8 +114,7 @@ def reduce_poly(p: LaurentPoly, spec: PnBundleSpec) -> BundleClass:
     steps.  Coefficient 0 is the pushforward to the base, as Rf_*O = O and
     Rf_*O(-j) = 0 for 1 <= j <= n.
     """
-    if p.base != spec.base:
-        raise BaseMismatch(f"polynomial over {p.base!r}, spec over {spec.base!r}")
+    p._require_same_base(spec)
     ranks, degrees = _normal_form(spec._relation, p.lo, p.ranks, p.degrees)
     return BundleClass(spec, tuple(map(spec.base.k0, ranks, degrees)))
 
@@ -168,8 +166,6 @@ def _divide(rel_r, rel_d, ranks: list[int], degrees: list[int]) -> tuple[list[in
 
 def pullback(f: K0Class, spec: PnBundleSpec) -> BundleClass:
     """Image of a base class under pullback: the constant coefficient."""
-    if f.base != spec.base:
-        raise BaseMismatch(f"class over {f.base!r}, spec over {spec.base!r}")
     return BundleClass(spec, (f,) + (spec.base.zero,) * spec.n)
 
 

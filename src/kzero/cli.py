@@ -34,8 +34,9 @@ only, so they need none of the escaping that the pure-Python encoder
 (which any ``indent`` selects) would scan them for.
 
 ``kzero verify`` sweeps genera 0..GMAX and degrees -DMAX..DMAX (default
-5,5); a negative bound, or a grid of more than MAX_GRID_SURFACES = 100000
-surfaces, (GMAX+1)*(2*DMAX+1)^2, is a validation error.
+5,5).  The sweep itself refuses a negative bound; past that, a grid of
+more than MAX_GRID_SURFACES = 100000 surfaces, (GMAX+1)*(2*DMAX+1)^2,
+is refused before it runs.  Both are validation errors.
 
 Exit codes: 0 success; 1 usage, parse or validation error, or standard
 output closed before the whole report was written; 2 verification
@@ -346,9 +347,7 @@ def _cmd_verify(args, out) -> int:
         raise ParseError("--grid expects GMAX,DMAX")
     gmax = _as_int(bits[0], "GMAX")
     dmax = _as_int(bits[1], "DMAX")
-    if gmax < 0 or dmax < 0:
-        raise ValidationError("--grid bounds GMAX and DMAX must be >= 0")
-    if (gmax + 1) * (2 * dmax + 1) ** 2 > MAX_GRID_SURFACES:
+    if max(0, gmax + 1) * max(0, 2 * dmax + 1) ** 2 > MAX_GRID_SURFACES:
         raise ValidationError(f"--grid {gmax},{dmax} holds more than {MAX_GRID_SURFACES} surfaces")
     results = verify_mod.run_all(gmax=gmax, dmax=dmax)
     total_failed = 0

@@ -197,10 +197,9 @@ class TruncatedSeries:
         coeffs = tuple(coeffs)
         if not coeffs:
             raise ValidationError("a truncated series needs at least order 0")
-        for c in coeffs:
-            if c.base != base:
-                raise BaseMismatch(f"coefficient base {c.base!r} != {base!r}")
         self.base = base
+        for c in coeffs:
+            c._require_same_base(self)
         self._ranks = tuple(c.rank for c in coeffs)
         self._degrees = tuple(c.degree for c in coeffs)
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .base import curve
+from .errors import ValidationError
 from .intlinalg import integer_kernel
 from .series import LaurentPoly, TruncatedSeries, ruled_piece, series_invert
 from .surface import RuledSurface
@@ -54,6 +55,8 @@ class SuiteResult:
 
 
 def _grid(gmax: int, dmax: int):
+    if not all(type(b) is int and b >= 0 for b in (gmax, dmax)):
+        raise ValidationError(f"grid bounds GMAX and DMAX must be >= 0 integers, got {gmax!r}, {dmax!r}")
     degrees = range(-dmax, dmax + 1)
     return product(range(gmax + 1), degrees, degrees)  # genus, then deg E, then deg Q
 

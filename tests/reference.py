@@ -23,11 +23,15 @@ and replays its log of column operations to build only the kernel
 columns of that transform, so this is the oracle of both the packed
 pivots and the replay: the tests require the very same kernel vectors.
 
+``rational_rank`` is the rank over Q by ``Fraction`` elimination, the
+oracle that integer kernels are counted against.
+
 ``random_unit_poly`` is ``kzero.verify``'s test-input generator as it was
 before it filled its rank and degree lists directly; the tests require
 equal polynomials and the same random state after each draw.
 """
 
+from fractions import Fraction
 from itertools import count
 
 from kzero import BundleClass, K0Class, LaurentPoly, TruncatedSeries, euler_form_base
@@ -229,6 +233,25 @@ def integer_kernel_reference(mat) -> list[list[int]]:
                 if q:
                     col[i:] = [x - q * y for x, y in zip(col[i:], pivot[i:])]
     return [col[m:] for col in cols[rank:]]
+
+
+def rational_rank(mat) -> int:
+    """Rank of an integer matrix over Q, by Gauss-Jordan elimination on ``Fraction`` entries."""
+    a = [[Fraction(x) for x in row] for row in mat]
+    rank = 0
+    cols = len(a[0]) if a else 0
+    for col in range(cols):
+        piv = next((r for r in range(rank, len(a)) if a[r][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        inv = 1 / a[rank][col]
+        for r in range(len(a)):
+            if r != rank and a[r][col]:
+                f = a[r][col] * inv
+                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
+        rank += 1
+    return rank
 
 
 def random_unit_poly(rng, base) -> LaurentPoly:

@@ -8,7 +8,6 @@ as they go.
 import itertools
 import math
 import random
-from fractions import Fraction
 
 from kzero import (
     LaurentPoly,
@@ -24,7 +23,7 @@ from kzero import (
     reduce_poly,
     series_invert,
 )
-from reference import hilbert_recursion
+from reference import hilbert_recursion, rational_rank
 
 GRID = list(itertools.product(range(0, 6), range(-5, 6), range(-5, 6)))
 
@@ -155,23 +154,6 @@ def test_criterion_6_quotient_ring_axioms():
                     assert reduce_poly(t_k, spec).coeffs == vec
 
 
-def _rational_rank(mat):
-    a = [[Fraction(v) for v in row] for row in mat]
-    rank = 0
-    for col in range(len(a[0])):
-        piv = next((r for r in range(rank, len(a)) if a[r][col]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = 1 / a[rank][col]
-        for r in range(len(a)):
-            if r != rank and a[r][col]:
-                f = a[r][col] * inv
-                a[r] = [u - f * w for u, w in zip(a[r], a[rank])]
-        rank += 1
-    return rank
-
-
 @criterion(7, "radical = span(fiber.H) and quotient Gram [[0,1],[1,deg E]] on the grid")
 def test_criterion_7_neron_severi():
     for g, de, dq in GRID:
@@ -181,7 +163,7 @@ def test_criterion_7_neron_severi():
         # the kernel lattice has rank 1; a primitive generator must then
         # be (0, +-1, 0), and it is checked to pair to zero on both sides
         stacked = [list(row) for row in lat.gram] + [list(col) for col in zip(*lat.gram)]
-        assert _rational_rank(stacked) == 2
+        assert rational_rank(stacked) == 2
         assert len(lat.radical_basis) == 1
         vec = lat.radical_basis[0]
         assert tuple(map(abs, vec)) == (0, 1, 0)

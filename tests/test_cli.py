@@ -243,6 +243,13 @@ def test_verify_rejects_negative_grid_bounds(capsys):
         assert "GMAX and DMAX must be >= 0" in captured.err and captured.out == ""
 
 
+def test_verify_names_a_negative_bound_before_the_size_budget(capsys):
+    # a grid with a negative bound holds no surfaces, so the sweep's own bound check answers
+    assert main(["verify", "--grid", "0,-1000"]) == 1
+    captured = capsys.readouterr()
+    assert "GMAX and DMAX must be >= 0" in captured.err and captured.out == ""
+
+
 def test_verify_grid_size_limit(monkeypatch, capsys):
     assert MAX_GRID_SURFACES == 100_000
     assert main(["verify", "--grid", "400,400"]) == 1
@@ -641,10 +648,10 @@ DOCUMENTS = st.one_of(
 
 @settings(max_examples=200, deadline=None)
 @given(DOCUMENTS)
-def test_any_json_value_is_a_report_or_a_value_error(doc):
+def test_any_json_value_is_a_report_or_a_named_error(doc):
     try:
         report = run(jobspec_from_dict(doc))
-    except ValueError:
+    except (ParseError, ValidationError):
         return
     assert report["schema"] == 1 and report["hilbert_ranks"]
 

@@ -14,25 +14,7 @@ from sympy.matrices.normalforms import smith_normal_form
 from sympy.polys.matrices import DomainMatrix
 
 from kzero import ValidationError, integer_kernel, intlinalg, series
-from reference import integer_kernel_reference
-
-
-def rational_rank(mat):
-    a = [[Fraction(x) for x in row] for row in mat]
-    rank = 0
-    cols = len(a[0]) if a else 0
-    for col in range(cols):
-        piv = next((r for r in range(rank, len(a)) if a[r][col]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = 1 / a[rank][col]
-        for r in range(len(a)):
-            if r != rank and a[r][col]:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-        rank += 1
-    return rank
+from reference import integer_kernel_reference, rational_rank
 
 
 def random_matrix(rng, m, n, bound=9):

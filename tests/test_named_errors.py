@@ -19,6 +19,8 @@ from kzero import (
     curve,
     hilbert_coeff_ruled,
     point,
+    pullback,
+    reduce_poly,
     series_invert,
 )
 from kzero.cli import main
@@ -66,6 +68,21 @@ def test_each_input_check_raises_its_named_class(error, build):
     with pytest.raises(error) as info:
         build()
     assert type(info.value) is error
+
+
+MIXED_BASES = {
+    "pullback of a class over another base": lambda: pullback(Y.one, P1),
+    "reduce_poly of a polynomial over another base": lambda: reduce_poly(LaurentPoly.one(Y), P1),
+    "bundle coefficient over another base": lambda: BundleClass(P1, (X.one, Y.one)),
+    "series of mixed bases": lambda: TruncatedSeries(X, [X.one, Y.one]),
+}
+
+
+@pytest.mark.parametrize("build", MIXED_BASES.values(), ids=MIXED_BASES)
+def test_a_base_mismatch_has_one_message(build):
+    with pytest.raises(BaseMismatch, match="^mixed bases ") as info:
+        build()
+    assert type(info.value) is BaseMismatch
 
 
 def test_a_non_integer_rank_coefficient_is_named_by_its_position():

@@ -8,7 +8,7 @@ import pytest
 
 import kzero.verify
 import reference
-from kzero import K0Class, LaurentPoly, RuledSurface, TruncatedSeries, curve, point, series_invert
+from kzero import K0Class, LaurentPoly, RuledSurface, TruncatedSeries, ValidationError, curve, point, series_invert
 from kzero.cli import main
 from kzero.series import ruled_piece
 from kzero.verify import (
@@ -16,6 +16,8 @@ from kzero.verify import (
     INVERSION_SEED,
     INVERSION_TRIALS,
     MAX_RECORDED_FAILURES,
+    intersection_suite,
+    radical_suite,
     random_unit_poly,
     rank_law_suite,
     run_all,
@@ -42,6 +44,22 @@ def test_smallest_grid_check_counts():
         ("series inversion identity", 200, 0),
         ("radical and Neron-Severi lattice", 2, 0),
     ]
+
+
+BAD_GRIDS = {
+    "negative GMAX": lambda: run_all(-1, 5),
+    "negative DMAX": lambda: run_all(5, -1),
+    "float GMAX": lambda: intersection_suite(2.5, 1),
+    "bool GMAX": lambda: radical_suite(True, 1),
+    "negative rank-law DMAX": lambda: rank_law_suite(-1),
+}
+
+
+@pytest.mark.parametrize("sweep", BAD_GRIDS.values(), ids=BAD_GRIDS)
+def test_the_library_sweep_refuses_a_bad_grid_bound(sweep):
+    # a sweep over an empty grid checks nothing, and a fractional bound is no grid at all
+    with pytest.raises(ValidationError, match="GMAX and DMAX must be >= 0"):
+        sweep()
 
 
 @pytest.mark.parametrize(
