@@ -22,7 +22,6 @@ from .bundle import (
     BundleClass,
     GroupStructure,
     PnBundleSpec,
-    free_abelian_rank,
     group_structure,
     pullback,
     reduce_poly,
@@ -66,7 +65,6 @@ __all__ = [
     "pullback",
     "twist",
     "group_structure",
-    "free_abelian_rank",
     "RuledSurface",
     "SurfaceClass",
     "IntersectionLattice",

@@ -14,17 +14,17 @@ free module over the base ring with basis 1, T, ..., T^n.  One integer
 routine, on the schoolbook product of :mod:`kzero.series`, computes NF for
 :func:`reduce_poly`, :func:`twist` and :mod:`kzero.surface` (n = 1).  Rf_*O = O
 and Rf_*O(-j) = 0 for 1 <= j <= n, so the pushforward is NF's constant term.
+The relation's lists come from the one Koszul rule, ``series._koszul_relation``,
+and the one rank rule, :func:`group_structure`, reads deg h off any relation.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .base import BaseSpace, K0Class
-from .errors import BaseMismatch, NotAUnit, RankConstraintViolation, ValidationError
-from .series import LaurentPoly, _product
+from .errors import BaseMismatch, NotAUnit, ValidationError
+from .series import LaurentPoly, _koszul_relation, _product
 
 
 @dataclass(frozen=True)
@@ -49,20 +49,7 @@ class PnBundleSpec:
             raise ValidationError(
                 f"need {self.n + 2} Koszul classes E_0..E_{self.n + 1}, got {len(self.koszul)}"
             )
-        for q, cls in enumerate(self.koszul):
-            if cls.base != self.base:
-                raise BaseMismatch(f"Koszul class E_{q} lives over {cls.base!r}, not {self.base!r}")
-            want = math.comb(self.n + 1, q)
-            if cls.rank != want:
-                raise RankConstraintViolation(
-                    f"rank(E_{q}) must be binomial({self.n + 1},{q}) = {want}, got {cls.rank}"
-                )
-        if self.koszul[0] != self.base.one:
-            raise ValidationError(
-                f"E_0 must be the identity class (1,0) of a connected algebra, got {self.koszul[0]!r}"
-            )
-        rel = [(-1) ** q * x for q, c in enumerate(self.koszul) for x in (c.rank, c.degree)]
-        object.__setattr__(self, "_relation", (rel[::2], rel[1::2]))  # sum_q (-1)^q E_q T^q: rank and degree lists
+        object.__setattr__(self, "_relation", _koszul_relation(self.base, self.koszul))
 
     def relation_poly(self) -> LaurentPoly:
         """The alternating sum sum_q (-1)^q E_q T^q generating the ideal."""
@@ -176,35 +163,26 @@ def twist(c: BundleClass, k: int) -> BundleClass:
 
 @dataclass(frozen=True)
 class GroupStructure:
-    """Shape of the quotient group: free of rank n+1 over the base ring.
+    """Shape of the quotient group: free of rank deg h over the base ring.
 
     Over a point the base ring is Z, so the quotient is also reported as
     a free abelian group of the same rank.
     """
 
     free_rank_over_base: int
-    point_base_abelian_rank: Optional[int] = None
+    point_base_abelian_rank: int | None = None
 
 
-def group_structure(spec: PnBundleSpec) -> GroupStructure:
-    rank = spec.n + 1
-    return GroupStructure(rank, rank if spec.base.is_point else None)
+def group_structure(relation: LaurentPoly) -> GroupStructure:
+    """Rank of K0(base)[T, T^-1]/(relation) over the base ring: deg h, for every mode.
 
-
-def free_abelian_rank(relation: LaurentPoly) -> int:
-    """Rank of Z[T]/(relation) as a free abelian group, over a point base.
-
-    Needs constant term 1 (connectedness) and a leading coefficient of
-    rank +1 or -1; with a non-unit leading coefficient the quotient is
-    not finitely generated as a group and the computation is refused.
+    Needs constant term 1 (connectedness) and a unit leading coefficient,
+    of rank +1 or -1; otherwise the quotient is not finitely generated.
     """
-    if not relation.base.is_point:
-        raise ValidationError("free abelian rank is only defined over a point base")
     if relation.is_zero() or relation.min_exp() != 0 or relation.coeff(0) != relation.base.one:
         raise ValidationError("relation must be a polynomial with constant term 1")
     lead = relation.coeff(relation.max_exp())
     if not lead.is_unit():
-        raise NotAUnit(
-            f"leading coefficient {lead!r} is not a unit; the quotient is not a finite-rank group"
-        )
-    return relation.max_exp()
+        raise NotAUnit(f"leading coefficient {lead!r} is not a unit; the quotient is not a finite-rank group")
+    rank = relation.max_exp()
+    return GroupStructure(rank, rank if relation.base.is_point else None)

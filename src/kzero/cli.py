@@ -56,7 +56,7 @@ from decimal import Inexact, InvalidOperation, Overflow, Rounded
 from functools import cache, partial
 
 from .base import BaseSpace, curve, point
-from .bundle import PnBundleSpec, free_abelian_rank, group_structure
+from .bundle import PnBundleSpec, group_structure
 from .errors import InvariantViolation, ParseError, ValidationError
 from .series import LaurentPoly
 from .surface import RuledSurface
@@ -220,39 +220,32 @@ def _surface_report(surface: RuledSurface) -> dict:
 def run(job: JobSpec) -> dict:
     """Compute the full report for a job; raises ValidationError on bad input.
 
-    Every mode yields a relation polynomial and the group structure; the
-    Hilbert series is its inverse, whose ranks are binomial(n + i, n) in
-    bundle modes.  Ruled mode adds the surface's intersection data.
+    Every mode yields a relation h, whose rank deg h ``group_structure`` reads.
+    The Hilbert series is 1/h, with ranks binomial(n + i, n) in bundle modes
+    (n = deg h - 1).  Ruled mode adds the surface's intersection data.
     """
     report = {"schema": SCHEMA_VERSION, "input": jobspec_to_dict(job)}
     if job.series_order < 0:
         raise ValidationError("series_order must be >= 0")
     if job.series_order > MAX_SERIES_ORDER:
         raise ValidationError(f"series_order must be <= {MAX_SERIES_ORDER}")
-    spec = surface = None
+    surface = None
     if job.mode == "point":
         if not job.base.is_point:
             raise ValidationError("point mode needs a point base")
         relation = LaurentPoly.from_int_coeffs(job.base, job.parameters["relation"])
-        free_rank = abelian_rank = free_abelian_rank(relation)
+    elif job.mode == "ruled":
+        if job.base.is_point:
+            raise ValidationError("ruled mode needs a curve base")
+        surface = RuledSurface.from_degrees(job.base.genus, job.parameters["deg_e"], job.parameters["deg_q"])
+        relation = surface.relation_poly()
     else:
-        if job.mode == "ruled":
-            if job.base.is_point:
-                raise ValidationError("ruled mode needs a curve base")
-            surface = RuledSurface.from_degrees(job.base.genus, job.parameters["deg_e"], job.parameters["deg_q"])
-            spec = surface.bundle_spec()
-        else:
-            koszul = tuple(job.base.k0(r, d) for r, d in job.parameters["koszul"])
-            spec = PnBundleSpec(job.base, job.parameters["n"], koszul)
-        relation = spec.relation_poly()
-        gs = group_structure(spec)
-        free_rank, abelian_rank = gs.free_rank_over_base, gs.point_base_abelian_rank
-    ranks = _hilbert_ranks(relation, job.series_order, None if spec is None else spec.n)
+        koszul = tuple(job.base.k0(r, d) for r, d in job.parameters["koszul"])
+        relation = PnBundleSpec(job.base, job.parameters["n"], koszul).relation_poly()
+    gs = group_structure(relation)
+    ranks = _hilbert_ranks(relation, job.series_order, None if job.mode == "point" else gs.free_rank_over_base - 1)
     report["relation"] = _poly_json(relation)
-    report["group_structure"] = {
-        "free_rank_over_base": str(free_rank),
-        "point_base_abelian_rank": None if abelian_rank is None else str(abelian_rank),
-    }
+    report["group_structure"] = {k: None if v is None else str(v) for k, v in vars(gs).items()}
     report["hilbert_ranks"] = [str(r) for r in ranks]
     if surface is not None:
         report.update(_surface_report(surface))

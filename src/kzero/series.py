@@ -4,7 +4,10 @@ The graded Grothendieck group of the base is the ring of Laurent
 polynomials in one variable ``T`` with :class:`~kzero.base.K0Class`
 coefficients; Hilbert series of graded algebras live in the matching
 power-series ring.  This module provides both, plus truncated series
-inversion and the Hilbert pieces of a ruled quotient algebra.
+inversion and the Hilbert pieces of a ruled quotient algebra.  It owns
+the relation lists too: ``_koszul_relation`` is the one rule for which
+Koszul classes make a relation, and bundle specs, ruled surfaces and
+``hilbert_coeff_ruled`` all go through it.
 
 A class is r + eps*d with eps^2 = 0, so both types store integer lists
 only: a polynomial is a lowest exponent ``lo`` plus dense ``ranks`` and
@@ -346,12 +349,25 @@ def _unpack(packed: int, slots: int, width: int) -> list[int]:
     return [int.from_bytes(data[j : j + w], "little") - half for j in range(0, slots * w, w)]
 
 
-def _check_ruled_pair(E: K0Class, Q: K0Class) -> None:
-    E._require_same_base(Q)
-    if E.rank != 2:
-        raise RankConstraintViolation(f"rank(E) must be 2, got {E.rank}")
-    if Q.rank != 1:
-        raise RankConstraintViolation(f"rank(Q) must be 1, got {Q.rank}")
+def _koszul_relation(base: BaseSpace, koszul: tuple[K0Class, ...], first: int = 0) -> tuple[list[int], list[int]]:
+    """Rank and degree lists of h = sum_q (-1)^q E_q T^q from the classes E_first, ..., E_(n+1).
+
+    The one rule for which classes make a relation: each E_q lives over ``base`` and has rank
+    binomial(n+1, q), and E_0 is the identity (1, 0).  With ``first`` = 1, E_0 is understood.
+    """
+    top, q = first + len(koszul) - 1, first  # n + 1, and the slot of the class at hand
+    ranks, degrees = [1] * first, [0] * first
+    for c in koszul:
+        if c.base is not base and c.base != base:  # identity first: an equal base costs a tuple compare
+            raise BaseMismatch(f"Koszul class E_{q} lives over {c.base!r}, not {base!r}")
+        if c.rank != comb(top, q):
+            raise RankConstraintViolation(f"rank(E_{q}) must be binomial({top},{q}) = {comb(top, q)}, got {c.rank}")
+        ranks.append(-c.rank if q & 1 else c.rank)
+        degrees.append(-c.degree if q & 1 else c.degree)
+        q += 1
+    if degrees[0]:
+        raise ValidationError(f"E_0 must be the identity class (1,0) of a connected algebra, got {koszul[0]!r}")
+    return ranks, degrees
 
 
 def ruled_piece(deg_e: int, deg_q: int, n: int) -> tuple[int, int]:
@@ -370,5 +386,5 @@ def hilbert_coeff_ruled(E: K0Class, Q: K0Class, n: int) -> K0Class:
     """
     if not isinstance(n, int):
         raise ValidationError(f"degree {n!r} is not an integer")
-    _check_ruled_pair(E, Q)
+    _koszul_relation(E.base, (E, Q), 1)
     return E.base.k0(*ruled_piece(E.degree, Q.degree, n))

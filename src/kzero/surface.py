@@ -6,7 +6,9 @@ genus g, determined together with an invertible rank-1 class Q.  Its
 Grothendieck group is K0(X)[T]/(1 - E T + Q T^2), the n = 1 case of
 :mod:`kzero.bundle`: free over K0(X) with basis {1, T}, where the
 exponent-i coefficient of a class records a pullback from the curve
-twisted by -i.
+twisted by -i.  The relation's lists come from the bundle's Koszul rule,
+``series._koszul_relation`` with E_1 = E and E_2 = Q, and its rank from
+``bundle.group_structure``; a surface builds no bundle spec.
 
 The Euler pairing of two surface classes is evaluated by pushing the
 second argument down to the curve.  Rf_*O = O and Rf_*O(-1) = 0, so the
@@ -48,7 +50,7 @@ from dataclasses import dataclass, field
 from .base import CURVE, K0Class, curve
 from .bundle import PnBundleSpec, _normal_form
 from .errors import BaseMismatch, InvariantViolation, ValidationError
-from .series import LaurentPoly, _check_ruled_pair, hilbert_coeff_ruled
+from .series import LaurentPoly, _koszul_relation, hilbert_coeff_ruled
 
 
 @dataclass(frozen=True)
@@ -69,8 +71,7 @@ class RuledSurface:
             raise ValidationError("genus must be a non-negative integer")
         if (self.E.base.kind, self.E.base.genus) != (CURVE, self.genus):
             raise BaseMismatch(f"E and Q must live over {curve(self.genus)!r}")
-        _check_ruled_pair(self.E, self.Q)
-        object.__setattr__(self, "_relation", ([1, -self.E.rank, self.Q.rank], [0, -self.E.degree, self.Q.degree]))
+        object.__setattr__(self, "_relation", _koszul_relation(self.E.base, (self.E, self.Q), 1))
 
     @classmethod
     def from_degrees(cls, genus: int, deg_e: int, deg_q: int) -> RuledSurface:
@@ -98,6 +99,8 @@ class RuledSurface:
 
     def structure_class(self, n: int = 0) -> SurfaceClass:
         """Class of O(n); the exponent -n carries the identity coefficient."""
+        if not isinstance(n, int):
+            raise ValidationError(f"exponent {n!r} is not an integer")
         return self.class_of({-n: self.base.one})
 
     def fiber_class(self) -> SurfaceClass:

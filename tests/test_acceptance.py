@@ -16,7 +16,6 @@ from kzero import (
     TruncatedSeries,
     curve,
     euler_form_base,
-    free_abelian_rank,
     group_structure,
     hilbert_coeff_ruled,
     point,
@@ -199,5 +198,6 @@ def test_criterion_9_point_base_corollary():
             pt, [(-1) ** q * math.comb(n + 1, q) for q in range(n + 2)]
         )
         assert rel == binomial
-        assert group_structure(spec).point_base_abelian_rank == n + 1
-        assert free_abelian_rank(rel) == n + 1
+        gs = group_structure(rel)
+        assert gs.point_base_abelian_rank == n + 1
+        assert gs.free_rank_over_base == n + 1

@@ -18,7 +18,6 @@ from kzero import (
     RankConstraintViolation,
     ValidationError,
     curve,
-    free_abelian_rank,
     group_structure,
     point,
     pullback,
@@ -277,17 +276,17 @@ def test_classes_of_different_specs_do_not_add(spec, other):
 
 
 def test_group_structure_reports():
-    gs = group_structure(point_pn_spec(2))
+    gs = group_structure(point_pn_spec(2).relation_poly())
     assert gs.free_rank_over_base == 3
     assert gs.point_base_abelian_rank == 3
 
-    gs = group_structure(ruled_spec(2, 1, 1))
+    gs = group_structure(ruled_spec(2, 1, 1).relation_poly())
     assert gs.free_rank_over_base == 2
     assert gs.point_base_abelian_rank is None
 
     x = curve(0)
     koszul = tuple(x.k0(math.comb(4, q)) for q in range(5))
-    gs = group_structure(PnBundleSpec(x, 3, koszul))
+    gs = group_structure(PnBundleSpec(x, 3, koszul).relation_poly())
     assert gs.free_rank_over_base == 4
 
 
@@ -295,18 +294,19 @@ def test_free_abelian_rank_of_point_relations():
     pt = point()
     for n in range(1, 5):
         rel = point_pn_spec(n).relation_poly()
-        assert free_abelian_rank(rel) == n + 1
-    assert free_abelian_rank(LaurentPoly.from_int_coeffs(pt, [1, -2, 2, -1, 1])) == 4
+        assert group_structure(rel).point_base_abelian_rank == n + 1
+    assert group_structure(LaurentPoly.from_int_coeffs(pt, [1, -2, 2, -1, 1])).point_base_abelian_rank == 4
 
 
 def test_free_abelian_rank_refusals():
     pt = point()
     with pytest.raises(NotAUnit):
-        free_abelian_rank(LaurentPoly.from_int_coeffs(pt, [1, -2]))
+        group_structure(LaurentPoly.from_int_coeffs(pt, [1, -2]))
     with pytest.raises(ValidationError):
-        free_abelian_rank(LaurentPoly.from_int_coeffs(pt, [2, -1]))
-    with pytest.raises(ValidationError):
-        free_abelian_rank(LaurentPoly.from_int_coeffs(curve(0), [1, -1]))
+        group_structure(LaurentPoly.from_int_coeffs(pt, [2, -1]))
+    # the rank rule holds over any base: a curve relation has a free rank and no abelian rank
+    gs = group_structure(LaurentPoly.from_int_coeffs(curve(0), [1, -1]))
+    assert (gs.free_rank_over_base, gs.point_base_abelian_rank) == (1, None)
 
 
 def test_point_quotient_is_free_by_presentation_oracle():

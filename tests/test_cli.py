@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import kzero.cli
 import kzero.verify
 from kzero import (
+    GroupStructure,
     InvariantViolation,
     K0Class,
     LaurentPoly,
@@ -27,6 +28,7 @@ from kzero import (
     RuledSurface,
     ValidationError,
     curve,
+    group_structure,
     point,
     series_invert,
 )
@@ -148,6 +150,15 @@ def test_point_report():
     assert report["group_structure"]["free_rank_over_base"] == "3"
     assert report["group_structure"]["point_base_abelian_rank"] == "3"
     assert report["hilbert_ranks"][:4] == ["1", "3", "6", "10"]
+
+
+def test_a_ruled_job_builds_no_bundle_spec(monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("a bundle spec was built")
+
+    monkeypatch.setattr(PnBundleSpec, "__post_init__", refuse)
+    assert main(["run", "--mode", "ruled", "--genus", "1", "--deg-e", "2", "--deg-q", "-1"]) == 0
+    assert "e-invariant: -2" in capsys.readouterr().out
 
 
 # -- exit codes ----------------------------------------------------------
@@ -715,6 +726,30 @@ def test_rank_growth_check_steps_the_binomials_exactly():
         assert _hilbert_ranks(relation, 59, None) == ranks
         report = run(jobspec_from_dict({**doc, "series_order": 59}))
         assert report["hilbert_ranks"] == [str(r) for r in ranks]
+
+
+@pytest.mark.parametrize(
+    "doc, relation, want",
+    [
+        (ruled_doc("2", "3", "-1"), RuledSurface.from_degrees(2, 3, -1).relation_poly(), GroupStructure(2, None)),
+        (*pnbundle_rank_job(curve(1), 2, [2, 1, 0], 5)[::2], GroupStructure(3, None)),
+        (*pnbundle_rank_job(point(), 3, [0] * 4, 5)[::2], GroupStructure(4, 4)),
+        (
+            {"mode": "point", "base": {"kind": "point"}, "parameters": {"relation": [1, -2, 2, -1, 1]}},
+            LaurentPoly.from_int_coeffs(point(), [1, -2, 2, -1, 1]),
+            GroupStructure(4, 4),
+        ),
+    ],
+    ids=["ruled", "pnbundle over a curve", "pnbundle over a point", "point"],
+)
+def test_every_mode_reports_the_group_structure_of_its_relation(doc, relation, want):
+    assert group_structure(relation) == want
+    report = run(jobspec_from_dict(doc))
+    assert report["relation"] == kzero.cli._poly_json(relation)
+    assert report["group_structure"] == {
+        "free_rank_over_base": str(want.free_rank_over_base),
+        "point_base_abelian_rank": None if want.point_base_abelian_rank is None else str(want.point_base_abelian_rank),
+    }
 
 
 # -- the report writers ---------------------------------------------------

@@ -60,6 +60,8 @@ CASES = {
     "string rank coefficient": (ValidationError, lambda: LaurentPoly.from_int_coeffs(X, ["7"])),
     "Fraction rank coefficient": (ValidationError, lambda: LaurentPoly.from_int_coeffs(X, [1, 2, Fraction(4, 1)])),
     "surface class over another base": (BaseMismatch, lambda: SurfaceClass(SURFACE, LaurentPoly.one(Y))),
+    "string exponent of a structure sheaf": (ValidationError, lambda: SURFACE.structure_class("3")),
+    "missing exponent of a structure sheaf": (ValidationError, lambda: SURFACE.structure_class(None)),
 }
 
 
@@ -83,6 +85,16 @@ def test_a_base_mismatch_has_one_message(build):
     with pytest.raises(BaseMismatch, match="^mixed bases ") as info:
         build()
     assert type(info.value) is BaseMismatch
+
+
+def test_a_structure_sheaf_and_a_shift_name_a_bad_exponent_alike():
+    for bad in ("3", None, 1.5):
+        messages = []
+        for call in (SURFACE.structure_class, LaurentPoly.one(X).shift):
+            with pytest.raises(ValidationError) as info:
+                call(bad)
+            messages.append(str(info.value))
+        assert messages == [f"exponent {bad!r} is not an integer"] * 2
 
 
 def test_a_non_integer_rank_coefficient_is_named_by_its_position():

@@ -4,7 +4,8 @@ The report path solves no integer kernel: ``surface`` reads the radical
 off the Gram.  ``series`` owns the packed-slot codec, and ``intlinalg``
 imports it from there, so the dependency runs one way only.  Subtraction
 and the relation polynomial have one body each, which the other class
-types bind.
+types bind, and one function raises the Koszul rank error.  No module
+but the package's re-exporting ``__init__`` imports a name it never uses.
 """
 
 import ast
@@ -57,3 +58,42 @@ def test_each_import_form_is_seen():
     for line in ("import kzero.intlinalg", "from .intlinalg import integer_kernel", "from . import intlinalg"):
         assert imports_intlinalg(line), line
     assert not imports_intlinalg("from .series import LaurentPoly")
+
+
+def test_one_function_raises_the_koszul_rank_error():
+    raisers = [
+        f"{path.name}:{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            isinstance(raised, ast.Raise) and isinstance(name, ast.Name) and name.id == "RankConstraintViolation"
+            for raised in ast.walk(node)
+            for name in ast.walk(raised)
+        )
+    ]
+    assert raisers == ["series.py:_koszul_relation"]
+
+
+def unused_imports(source):
+    """Names a module binds by import and never reads; ``from __future__`` binds none."""
+    tree = ast.parse(source)
+    bound = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    for path in SRC.glob("*.py"):
+        if path.name != "__init__.py":  # the package imports its public names to re-export them
+            assert unused_imports(path.read_text()) == set(), path.name
+
+
+def test_an_unused_import_of_each_form_is_seen():
+    source = "import math\nimport os.path\nfrom typing import Optional\nfrom .errors import NotAUnit as N, RankConstraintViolation\nN\n"
+    assert unused_imports(source) == {"math", "os", "Optional", "RankConstraintViolation"}
+    assert unused_imports("from __future__ import annotations\nimport math\nmath.comb(2, 1)\n") == set()

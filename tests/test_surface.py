@@ -12,10 +12,12 @@ import kzero.verify
 from kzero import (
     BaseMismatch,
     InvariantViolation,
+    PnBundleSpec,
     RankConstraintViolation,
     RuledSurface,
     curve,
     euler_form_base,
+    hilbert_coeff_ruled,
     integer_kernel,
 )
 
@@ -35,6 +37,25 @@ def test_construction_constraints():
         RuledSurface(2, x.k0(2, 0), x.k0(0, 1))
     with pytest.raises(BaseMismatch):
         RuledSurface(1, x.k0(2, 0), x.k0(1, 0))
+
+
+def test_surfaces_bundle_specs_and_hilbert_pieces_share_one_rank_rule():
+    # one Koszul rule checks E_1 = E before E_2 = Q, so E's rank is named even when Q's base is wrong too
+    x, y = curve(2), curve(1)
+    builds = (
+        lambda: RuledSurface(2, x.k0(3, 0), x.k0(1, 0)),
+        lambda: PnBundleSpec(x, 1, (x.one, x.k0(3, 0), x.k0(1, 0))),
+        lambda: hilbert_coeff_ruled(x.k0(3, 0), x.k0(1, 0), 2),
+        lambda: RuledSurface(2, x.k0(3, 0), y.k0(1, 0)),
+        lambda: hilbert_coeff_ruled(x.k0(3, 0), y.k0(1, 0), 2),
+    )
+    messages = set()
+    for build in builds:
+        with pytest.raises(RankConstraintViolation) as info:
+            build()
+        assert type(info.value) is RankConstraintViolation
+        messages.add(str(info.value))
+    assert messages == {"rank(E_1) must be binomial(2,1) = 2, got 3"}
 
 
 def test_named_classes():
