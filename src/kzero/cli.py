@@ -21,12 +21,12 @@ integer in an emitted report is a decimal string, so arbitrary-precision
 values survive consumers that parse JSON numbers as doubles.  Hilbert
 ranks are exact ``Decimal`` integers (``str`` is linear in a Decimal's
 digits, quadratic in an int's).  A job past a budget is a validation
-error.  Point mode runs a recurrence on the relation, bounded by
-MAX_RANK_STEPS = 1000000 steps (series_order per nonzero relation rank
-past T^0), MAX_RANK_WORK = 5000000000 digit products and
-MAX_REPORT_DIGITS = 30000000 digits.  Bundle modes take binomial(n + i,
-n) by the rank law, one product a step, bounded by MAX_SERIES_ORDER and
-MAX_REPORT_DIGITS.
+error.  Relation ranks of (1 - T)^(n + 1), as in every ruled and
+pnbundle job and a quantum P^n in point mode, take the rank law
+binomial(n + i, n), one product a step.  Other relations run a
+recurrence charged MAX_RANK_STEPS = 1000000 steps (series_order per
+nonzero relation rank past T^0) and MAX_RANK_WORK = 5000000000 digit
+products.  MAX_SERIES_ORDER and MAX_REPORT_DIGITS = 30000000 bound both.
 
 ``--json`` writes the layout of ``json.dumps(report, indent=2)``.  The
 rank list is written as joined text: its strings are digits and '-'
@@ -48,9 +48,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DecimalException, localcontext
 from decimal import Inexact, InvalidOperation, Overflow, Rounded
 from functools import cache, partial
@@ -68,8 +69,8 @@ MAX_SERIES_ORDER = 100_000
 MAX_GRID_SURFACES = 100_000
 MAX_SPEC_BYTES = 1_048_576  # bytes of a --spec job document (1 MiB)
 MAX_REPORT_DIGITS = 30_000_000  # digits of all Hilbert ranks in one report
-MAX_RANK_STEPS = 1_000_000  # point jobs: order * nonzero ranks past T^0; bundle jobs stop at MAX_SERIES_ORDER
-MAX_RANK_WORK = 5_000_000_000  # point ranks: sum over steps of relation digits * widest rank digits
+MAX_RANK_STEPS = 1_000_000  # recurrence: order * nonzero ranks past T^0; the rank law stops at MAX_SERIES_ORDER
+MAX_RANK_WORK = 5_000_000_000  # recurrence: sum over steps of relation digits * widest rank digits
 # integers as Decimals: any rounding, overflow or invalid operation traps
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded, Overflow, InvalidOperation])
 
@@ -81,8 +82,8 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Ro
 class JobSpec:
     mode: str
     base: BaseSpace
-    parameters: dict = field(default_factory=dict)
-    series_order: int = DEFAULT_SERIES_ORDER
+    parameters: dict
+    series_order: int
 
 
 def _as_int(value, what: str) -> int:
@@ -166,14 +167,16 @@ def _poly_json(p: LaurentPoly) -> dict:
     return {str(e): {"rank": str(r), "degree": str(d)} for e, (r, d) in terms if r or d}
 
 
-def _hilbert_ranks(relation: LaurentPoly, order: int, n: int | None) -> list[Decimal]:
+def _hilbert_ranks(relation: LaurentPoly, order: int) -> list[Decimal]:
     """Ranks of 1/relation to T^order, as ``series_invert`` gives them: rank is a ring map.
 
-    A bundle's relation (fiber dimension n) has the ranks of (1 - T)^(n + 1), so b_i = binomial(n + i, n).  A point
-    relation (n None) is free: b_0 = 1, b_i = -sum_k c_k * b_(i-k) over its ranks c_k, each step weighed in digits.
+    Ranks of (1 - T)^(n + 1), n = deg h - 1, as in every bundle and a quantum P^n, take b_i = binomial(n + i, n).  Any
+    other relation is free: b_0 = 1, b_i = -sum_k c_k * b_(i-k) over its ranks c_k, each step weighed in digits.
     """
+    n = len(relation.ranks) - 2  # the compare stops at the first rank off the law
+    law = all(c == (-1) ** q * math.comb(n + 1, q) for q, c in enumerate(relation.ranks))
     zero, digits, widest, widests = Decimal(), 1, 1, 0
-    if n is None:  # only the free recurrence is charged: one product per nonzero c_k a step, the rank law's one
+    if not law:  # only the free recurrence is charged: one product per nonzero c_k a step, the rank law's one
         terms = [(k, Decimal(-c)) for k, c in enumerate(relation.ranks) if k and c]
         if order * len(terms) > MAX_RANK_STEPS:
             raise ValidationError(
@@ -184,7 +187,7 @@ def _hilbert_ranks(relation: LaurentPoly, order: int, n: int | None) -> list[Dec
     try:
         with localcontext(_EXACT):
             for i in range(1, order + 1):
-                if n is not None:
+                if law:
                     r = ranks[-1] * (n + i) // i  # exact: b_(i-1) * (n + i) = i * b_i
                 else:
                     widests += widest  # a step weighs the digits of the c_k times those of the widest rank so far
@@ -221,8 +224,8 @@ def run(job: JobSpec) -> dict:
     """Compute the full report for a job; raises ValidationError on bad input.
 
     Every mode yields a relation h, whose rank deg h ``group_structure`` reads.
-    The Hilbert series is 1/h, with ranks binomial(n + i, n) in bundle modes
-    (n = deg h - 1).  Ruled mode adds the surface's intersection data.
+    The Hilbert series is 1/h, read off h alone by ``_hilbert_ranks``.  Ruled
+    mode adds the surface's intersection data.
     """
     report = {"schema": SCHEMA_VERSION, "input": jobspec_to_dict(job)}
     if job.series_order < 0:
@@ -243,7 +246,7 @@ def run(job: JobSpec) -> dict:
         koszul = tuple(job.base.k0(r, d) for r, d in job.parameters["koszul"])
         relation = PnBundleSpec(job.base, job.parameters["n"], koszul).relation_poly()
     gs = group_structure(relation)
-    ranks = _hilbert_ranks(relation, job.series_order, None if job.mode == "point" else gs.free_rank_over_base - 1)
+    ranks = _hilbert_ranks(relation, job.series_order)
     report["relation"] = _poly_json(relation)
     report["group_structure"] = {k: None if v is None else str(v) for k, v in vars(gs).items()}
     report["hilbert_ranks"] = [str(r) for r in ranks]

@@ -290,7 +290,7 @@ def test_group_structure_reports():
     assert gs.free_rank_over_base == 4
 
 
-def test_free_abelian_rank_of_point_relations():
+def test_group_structure_of_point_relations():
     pt = point()
     for n in range(1, 5):
         rel = point_pn_spec(n).relation_poly()
@@ -298,7 +298,7 @@ def test_free_abelian_rank_of_point_relations():
     assert group_structure(LaurentPoly.from_int_coeffs(pt, [1, -2, 2, -1, 1])).point_base_abelian_rank == 4
 
 
-def test_free_abelian_rank_refusals():
+def test_group_structure_refusals():
     pt = point()
     with pytest.raises(NotAUnit):
         group_structure(LaurentPoly.from_int_coeffs(pt, [1, -2]))

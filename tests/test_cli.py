@@ -718,14 +718,42 @@ def test_report_ranks_are_the_ranks_of_the_inverted_relation(job):
 
 
 def test_rank_growth_check_steps_the_binomials_exactly():
-    # the rank law and the point recurrence, run on the same bundle relation, both give binomial(n + i, n)
+    # the rank law, read off a bundle relation, gives binomial(n + i, n)
     for n in (1, 2, 7, 300):
         ranks = [math.comb(n + i, n) for i in range(60)]
         doc, _, relation = pnbundle_rank_job(point(), n, [0] * (n + 1), 59)
-        assert _hilbert_ranks(relation, 59, n) == ranks
-        assert _hilbert_ranks(relation, 59, None) == ranks
+        assert _hilbert_ranks(relation, 59) == ranks
         report = run(jobspec_from_dict({**doc, "series_order": 59}))
         assert report["hilbert_ranks"] == [str(r) for r in ranks]
+
+
+def test_a_relation_one_rank_off_the_law_takes_the_recurrence(monkeypatch):
+    # (1 - T)^(n + 1) with rank q moved by one, or its top rank's sign flipped, is no bundle's relation: its ranks
+    # come from the charged recurrence
+    relations = []
+    for n in range(1, 9):
+        law = [(-1) ** q * math.comb(n + 1, q) for q in range(n + 2)]
+        near = [law[:q] + [law[q] + step] + law[q + 1 :] for q in range(1, n + 1) for step in (1, -1)]
+        relations += [LaurentPoly.from_int_coeffs(point(), coeffs) for coeffs in [*near, law[:-1] + [-law[-1]]]]
+    for relation in relations:
+        assert _hilbert_ranks(relation, 40) == list(series_invert(relation, 40).ranks()), relation.ranks
+    monkeypatch.setattr(kzero.cli, "MAX_RANK_STEPS", 0)
+    for relation in relations:
+        with pytest.raises(ValidationError, match="past MAX_RANK_STEPS = 0"):
+            _hilbert_ranks(relation, 40)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 100])
+def test_point_and_pnbundle_jobs_of_one_relation_give_one_report(n):
+    # a quantum P^n over a point, given as point coefficients or as Koszul data; P^100 at order 9,901 is
+    # 9,901 x 101 recurrence steps, past MAX_RANK_STEPS, so both jobs must take the rank law
+    order = 9901 if n == 100 else 40
+    point_job = point_doc([(-1) ** q * math.comb(n + 1, q) for q in range(n + 2)], series_order=order)
+    pn_job, _, _ = pnbundle_rank_job(point(), n, [0] * (n + 1), order)
+    point_report, pn_report = (run(jobspec_from_dict(doc)) for doc in (point_job, {**pn_job, "series_order": order}))
+    for key in ("relation", "group_structure", "hilbert_ranks"):
+        assert json.dumps(point_report[key]) == json.dumps(pn_report[key]), key
+    assert point_report["hilbert_ranks"] == [str(math.comb(n + i, n)) for i in range(order + 1)]
 
 
 @pytest.mark.parametrize(
@@ -813,14 +841,16 @@ def test_reused_parser_leaks_no_state_between_calls(tmp_path, monkeypatch, capsy
 
 
 @pytest.mark.parametrize("budget", ["MAX_RANK_STEPS", "MAX_RANK_WORK"])
-def test_bundle_jobs_are_not_charged_the_point_budgets(monkeypatch, capsys, budget):
+def test_rank_law_relations_are_not_charged_the_recurrence_budgets(monkeypatch, capsys, budget):
     monkeypatch.setattr(kzero.cli, budget, 1)
     jobs = {
         "ruled": ["--mode", "ruled", "--genus", "1", "--deg-e", "3", "--deg-q", "-2"],
         "pnbundle": ["--mode", "pnbundle", "--point", "--n", "2", "--koszul", "1:0,3:0,3:0,1:0"],
+        "point P^1": ["--mode", "point", "--relation", "1,-2,1"],
+        "point P^2": ["--mode", "point", "--relation", "1,-3,3,-1"],
     }
-    for n, flags in zip((1, 2), jobs.values()):
+    for n, flags in zip((1, 2, 1, 2), jobs.values()):
         assert main(["run", *flags, "--series-order", "40", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["hilbert_ranks"] == [str(math.comb(n + i, n)) for i in range(41)]
-    assert main(["run", "--mode", "point", "--relation", "1,-2,1", "--series-order", "40"]) == 1
+    assert main(["run", "--mode", "point", "--relation", "1,-3,1", "--series-order", "40"]) == 1
     assert f" {budget} = 1" in capsys.readouterr().err
