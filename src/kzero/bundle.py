@@ -49,7 +49,7 @@ class PnBundleSpec:
             raise ValidationError(
                 f"need {self.n + 2} Koszul classes E_0..E_{self.n + 1}, got {len(self.koszul)}"
             )
-        object.__setattr__(self, "_relation", _koszul_relation(self.base, self.koszul))
+        object.__setattr__(self, "_relation", _koszul_relation(self, self.koszul))
 
     def relation_poly(self) -> LaurentPoly:
         """The alternating sum sum_q (-1)^q E_q T^q generating the ideal."""

@@ -412,7 +412,3 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

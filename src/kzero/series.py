@@ -27,7 +27,6 @@ from operator import index
 
 from .base import BaseSpace, K0Class
 from .errors import (
-    BaseMismatch,
     NegativeExponent,
     NonUnitConstantTerm,
     RankConstraintViolation,
@@ -48,16 +47,15 @@ class LaurentPoly:
 
     def __init__(self, base: BaseSpace, terms=()):
         items = list(terms.items() if hasattr(terms, "items") else terms)
+        self.base = base  # read by each coefficient's _require_same_base
+        exps = []
         for exp, coeff in items:
-            if not isinstance(exp, int):
-                raise ValidationError(f"exponent {exp!r} is not an integer")
-            if coeff.base != base:
-                raise BaseMismatch(f"coefficient base {coeff.base!r} != {base!r}")
-        exps = [exp for exp, _ in items] or [0]
-        lo = min(exps)
-        size = max(exps) - lo + 1
+            exps.append(_index(exp, "exponent"))
+            coeff._require_same_base(self)
+        lo = min(exps, default=0)
+        size = max(exps, default=0) - lo + 1
         ranks, degrees = [0] * size, [0] * size
-        for exp, coeff in items:
+        for exp, (_, coeff) in zip(exps, items):
             ranks[exp - lo] += coeff.rank
             degrees[exp - lo] += coeff.degree
         self._store(base, lo, ranks, degrees)
@@ -92,13 +90,8 @@ class LaurentPoly:
 
     @classmethod
     def from_int_coeffs(cls, base: BaseSpace, ints) -> LaurentPoly:
-        """Polynomial sum (c_i, 0) T^i with pure rank coefficients, each read by ``operator.index``."""
-        ranks = []
-        for i, c in enumerate(ints):
-            try:
-                ranks.append(index(c))
-            except TypeError as err:
-                raise ValidationError(f"coefficient {i}: {err}") from None
+        """Polynomial sum (c_i, 0) T^i with pure rank coefficients, each read by ``_index`` as coefficient i."""
+        ranks = [_index(c, f"coefficient {i}") for i, c in enumerate(ints)]
         return cls._dense(base, 0, ranks, [0] * len(ranks))
 
     def terms(self):
@@ -174,9 +167,7 @@ class LaurentPoly:
 
     def shift(self, k: int) -> LaurentPoly:
         """Multiply by T^k."""
-        if not isinstance(k, int):
-            raise ValidationError(f"exponent {k!r} is not an integer")
-        return LaurentPoly._dense(self.base, self.lo + k, self.ranks, self.degrees)
+        return LaurentPoly._dense(self.base, self.lo + _index(k, "exponent"), self.ranks, self.degrees)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -288,12 +279,17 @@ def series_invert(p: LaurentPoly, order: int) -> TruncatedSeries:
     return TruncatedSeries._dense(p.base, br, bd)
 
 
-def _order(order) -> int:
-    """A truncation order read by ``operator.index``; ``ValidationError`` unless an integer >= 0."""
+def _index(value, what: str) -> int:
+    """The one integer rule for exponents, orders and coefficients: ``operator.index``, else a ValidationError."""
     try:
-        order = index(order)
+        return index(value)
     except TypeError as err:
-        raise ValidationError(f"truncation order: {err}") from None
+        raise ValidationError(f"{what}: {err}") from None
+
+
+def _order(order) -> int:
+    """A truncation order read by ``_index``; ``ValidationError`` unless an integer >= 0."""
+    order = _index(order, "truncation order")
     if order < 0:
         raise ValidationError("truncation order must be >= 0")
     return order
@@ -349,17 +345,19 @@ def _unpack(packed: int, slots: int, width: int) -> list[int]:
     return [int.from_bytes(data[j : j + w], "little") - half for j in range(0, slots * w, w)]
 
 
-def _koszul_relation(base: BaseSpace, koszul: tuple[K0Class, ...], first: int = 0) -> tuple[list[int], list[int]]:
+def _koszul_relation(owner, koszul: tuple[K0Class, ...], first: int = 0) -> tuple[list[int], list[int]]:
     """Rank and degree lists of h = sum_q (-1)^q E_q T^q from the classes E_first, ..., E_(n+1).
 
-    The one rule for which classes make a relation: each E_q lives over ``base`` and has rank
-    binomial(n+1, q), and E_0 is the identity (1, 0).  With ``first`` = 1, E_0 is understood.
+    The one rule for which classes make a relation: each E_q lives over the base of ``owner``, a bundle
+    spec or a surface's E (by ``_require_same_base``), has rank binomial(n+1, q), and E_0 is the identity
+    (1, 0).  With ``first`` = 1, E_0 is understood.
     """
     top, q = first + len(koszul) - 1, first  # n + 1, and the slot of the class at hand
     ranks, degrees = [1] * first, [0] * first
+    base = owner.base
     for c in koszul:
-        if c.base is not base and c.base != base:  # identity first: an equal base costs a tuple compare
-            raise BaseMismatch(f"Koszul class E_{q} lives over {c.base!r}, not {base!r}")
+        if c.base is not base:  # identity first: an equal base costs a call and a tuple compare
+            c._require_same_base(owner)
         if c.rank != comb(top, q):
             raise RankConstraintViolation(f"rank(E_{q}) must be binomial({top},{q}) = {comb(top, q)}, got {c.rank}")
         ranks.append(-c.rank if q & 1 else c.rank)
@@ -384,7 +382,6 @@ def hilbert_coeff_ruled(E: K0Class, Q: K0Class, n: int) -> K0Class:
     equivalently the T^n coefficient of 1/(1 - E T + Q T^2).  The rank of
     B_n is n+1 for every n >= 0.  Evaluated in O(1) by :func:`ruled_piece`.
     """
-    if not isinstance(n, int):
-        raise ValidationError(f"degree {n!r} is not an integer")
-    _koszul_relation(E.base, (E, Q), 1)
+    n = _index(n, "degree")
+    _koszul_relation(E, (E, Q), 1)
     return E.base.k0(*ruled_piece(E.degree, Q.degree, n))

@@ -49,8 +49,8 @@ from dataclasses import dataclass, field
 
 from .base import CURVE, K0Class, curve
 from .bundle import PnBundleSpec, _normal_form
-from .errors import BaseMismatch, InvariantViolation, ValidationError
-from .series import LaurentPoly, _koszul_relation, hilbert_coeff_ruled
+from .errors import BaseMismatch, InvariantViolation
+from .series import LaurentPoly, _index, _koszul_relation, hilbert_coeff_ruled
 
 
 @dataclass(frozen=True)
@@ -67,11 +67,10 @@ class RuledSurface:
     _relation: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if type(self.genus) is not int or self.genus < 0:
-            raise ValidationError("genus must be a non-negative integer")
-        if (self.E.base.kind, self.E.base.genus) != (CURVE, self.genus):
+        if (self.E.base.kind, self.E.base.genus) != (CURVE, self.genus) or type(self.genus) is not int:
+            # curve(genus) raises BaseSpace's genus rule first, for a bool, float or negative genus
             raise BaseMismatch(f"E and Q must live over {curve(self.genus)!r}")
-        object.__setattr__(self, "_relation", _koszul_relation(self.E.base, (self.E, self.Q), 1))
+        object.__setattr__(self, "_relation", _koszul_relation(self.E, (self.E, self.Q), 1))
 
     @classmethod
     def from_degrees(cls, genus: int, deg_e: int, deg_q: int) -> RuledSurface:
@@ -99,9 +98,7 @@ class RuledSurface:
 
     def structure_class(self, n: int = 0) -> SurfaceClass:
         """Class of O(n); the exponent -n carries the identity coefficient."""
-        if not isinstance(n, int):
-            raise ValidationError(f"exponent {n!r} is not an integer")
-        return self.class_of({-n: self.base.one})
+        return SurfaceClass(self, LaurentPoly._dense(self.base, -_index(n, "exponent"), [1], [0]))
 
     def fiber_class(self) -> SurfaceClass:
         """Pullback of a point class: (0,1) in degree zero."""
@@ -193,8 +190,8 @@ class SurfaceClass:
     rep: LaurentPoly
 
     def __post_init__(self):
-        if self.rep.base is not self.surface.base and self.rep.base != self.surface.base:
-            raise BaseMismatch(f"representative over {self.rep.base!r}, surface over {self.surface.base!r}")
+        if self.rep.base is not self.surface.base:  # identity first: an equal base costs a call and a tuple compare
+            self.rep._require_same_base(self.surface)
 
     def coeff(self, i: int) -> K0Class:
         return self.rep.coeff(i)

@@ -205,7 +205,7 @@ def test_pullback_embeds_constant():
     assert c.coeffs == (x.k0(3, -2), x.zero)
 
 
-def test_rho_of_scales_the_relation():
+def test_a_class_scales_the_relation_polynomial():
     spec = ruled_spec(0, 1, 1)
     x = spec.base
     assert spec.relation_poly() * x.one == spec.relation_poly()

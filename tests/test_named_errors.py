@@ -77,6 +77,9 @@ MIXED_BASES = {
     "reduce_poly of a polynomial over another base": lambda: reduce_poly(LaurentPoly.one(Y), P1),
     "bundle coefficient over another base": lambda: BundleClass(P1, (X.one, Y.one)),
     "series of mixed bases": lambda: TruncatedSeries(X, [X.one, Y.one]),
+    "polynomial coefficient over another base": lambda: LaurentPoly(X, {0: Y.one}),
+    "Koszul class over another base": lambda: PnBundleSpec(X, 1, (X.one, Y.k0(2), X.k0(1))),
+    "surface class over another base": lambda: SurfaceClass(SURFACE, LaurentPoly.one(Y)),
 }
 
 
@@ -94,7 +97,7 @@ def test_a_structure_sheaf_and_a_shift_name_a_bad_exponent_alike():
             with pytest.raises(ValidationError) as info:
                 call(bad)
             messages.append(str(info.value))
-        assert messages == [f"exponent {bad!r} is not an integer"] * 2
+        assert messages == [f"exponent: '{type(bad).__name__}' object cannot be interpreted as an integer"] * 2
 
 
 def test_a_non_integer_rank_coefficient_is_named_by_its_position():
@@ -108,13 +111,28 @@ class Three:
         return 3
 
 
+EXPONENTS = {
+    "shift": LaurentPoly.one(X).shift,
+    "polynomial key": lambda k: LaurentPoly(X, {k: X.one}),
+    "structure sheaf": SURFACE.structure_class,
+}
+
+
 def test_coefficients_and_truncation_orders_follow_one_integer_rule():
-    # operator.index decides both: an __index__ type is read, a float is named
+    # operator.index decides all: an __index__ type is read, a float is named
     assert LaurentPoly.from_int_coeffs(X, [Three()]) == LaurentPoly.from_int_coeffs(X, [3])
     assert TruncatedSeries.one(X, Three()) == TruncatedSeries.one(X, 3)
     assert series_invert(LaurentPoly.one(X), Three()) == TruncatedSeries.one(X, 3)
     with pytest.raises(ValidationError, match="^truncation order: 'float' object cannot be interpreted as an integer$"):
         TruncatedSeries.one(X, 2.0)
+    for name, build in EXPONENTS.items():
+        assert build(Three()) == build(3), name
+        with pytest.raises(ValidationError, match="^exponent: 'float' object cannot be interpreted as an integer$"):
+            build(2.0)
+    E, Q = X.k0(2, 1), X.k0(1)
+    assert hilbert_coeff_ruled(E, Q, Three()) == hilbert_coeff_ruled(E, Q, 3)
+    with pytest.raises(ValidationError, match="^degree: 'float' object cannot be interpreted as an integer$"):
+        hilbert_coeff_ruled(E, Q, 2.0)
 
 
 def test_a_ruled_job_over_a_point_exits_one_with_its_message(capsys):

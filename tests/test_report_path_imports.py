@@ -4,8 +4,11 @@ The report path solves no integer kernel: ``surface`` reads the radical
 off the Gram.  ``series`` owns the packed-slot codec, and ``intlinalg``
 imports it from there, so the dependency runs one way only.  Subtraction
 and the relation polynomial have one body each, which the other class
-types bind, and one function raises the Koszul rank error.  No module
-but the package's re-exporting ``__init__`` imports a name it never uses.
+types bind, and one function raises the Koszul rank error.  One function
+each builds a base mismatch for a class over another base, reads an
+integer by ``operator.index`` (beside the integer kernel's matrix copy)
+and states the genus rule.  No module but the package's re-exporting
+``__init__`` imports a name it never uses.
 """
 
 import ast
@@ -60,19 +63,59 @@ def test_each_import_form_is_seen():
     assert not imports_intlinalg("from .series import LaurentPoly")
 
 
+def functions():
+    """Each module-level function and method of the package, as ("file:Class.name" or "file:name", node)."""
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            inner = top.body if isinstance(top, ast.ClassDef) else [top]
+            prefix = f"{path.name}:{top.name}." if isinstance(top, ast.ClassDef) else f"{path.name}:"
+            yield from ((prefix + node.name, node) for node in inner if isinstance(node, ast.FunctionDef))
+
+
+def owners(found):
+    """The functions in which ``found`` holds for some node, nested functions included."""
+    return [name for name, fn in functions() if any(found(node) for node in ast.walk(fn))]
+
+
 def test_one_function_raises_the_koszul_rank_error():
-    raisers = [
-        f"{path.name}:{node.name}"
-        for path in sorted(SRC.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.FunctionDef)
-        and any(
-            isinstance(raised, ast.Raise) and isinstance(name, ast.Name) and name.id == "RankConstraintViolation"
-            for raised in ast.walk(node)
-            for name in ast.walk(raised)
+    def raises_rank_error(node):
+        return isinstance(node, ast.Raise) and any(
+            isinstance(name, ast.Name) and name.id == "RankConstraintViolation" for name in ast.walk(node)
         )
+
+    assert owners(raises_rank_error) == ["series.py:_koszul_relation"]
+
+
+def test_one_body_each_for_the_base_integer_and_genus_rules():
+    def builds_base_mismatch(node):
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "BaseMismatch"
+
+    def reads_operator_index(node):  # the name ``from operator import index`` binds, or ``operator.index``
+        return (isinstance(node, ast.Name) and node.id == "index") or (
+            isinstance(node, ast.Attribute) and node.attr == "index" and getattr(node.value, "id", None) == "operator"
+        )
+
+    def states_the_genus_rule(node):
+        return isinstance(node, ast.Constant) and "genus must be a non-negative integer" in str(node.value)
+
+    # every class over another base goes through _require_same_base; the other three check a surface's declared
+    # genus, or that two classes share one surface or one bundle spec
+    assert owners(builds_base_mismatch) == [
+        "base.py:K0Class._require_same_base",
+        "bundle.py:BundleClass.__add__",
+        "surface.py:RuledSurface.__post_init__",
+        "surface.py:RuledSurface._require_own",
     ]
-    assert raisers == ["series.py:_koszul_relation"]
+    assert owners(reads_operator_index) == ["intlinalg.py:_copy", "series.py:_index"]
+    assert owners(states_the_genus_rule) == ["base.py:BaseSpace.__post_init__"]
+    imports = {
+        (alias.name, alias.asname)
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "operator"
+        for alias in node.names
+    }
+    assert imports == {("index", None)}  # so no alias hides a reader from the check above
 
 
 def unused_imports(source):
