@@ -90,7 +90,7 @@ class K0Class:
             raise ValidationError("classes over a point have degree 0")
 
     def _require_same_base(self, other: K0Class) -> None:
-        if self.base != other.base:
+        if self.base is not other.base and self.base != other.base:  # identity first: the common case skips a compare
             raise BaseMismatch(f"mixed bases {self.base!r} and {other.base!r}")
 
     def is_zero(self) -> bool:

@@ -13,7 +13,7 @@ A job is a JSON document with keys ``mode`` (``ruled`` | ``pnbundle`` |
 ``{"kind": "curve", "genus": G}``), ``parameters`` (per mode: ``deg_e``
 and ``deg_q``; ``n`` and ``koszul`` as a list of [rank, degree] pairs;
 ``relation`` as a list of integer coefficients), and an optional
-``series_order`` (default 32, at most MAX_SERIES_ORDER = 100000).  Flags
+``series_order`` (default 32, from 0 to MAX_SERIES_ORDER = 100000).  Flags
 may supply the same fields; on conflict the JSON document wins.  A job
 document may hold at most MAX_SPEC_BYTES = 1048576 bytes; a longer one
 is a parse error, read no further than one byte past the limit.  Every
@@ -59,7 +59,7 @@ from functools import cache, partial
 from .base import BaseSpace, curve, point
 from .bundle import PnBundleSpec, group_structure
 from .errors import InvariantViolation, ParseError, ValidationError
-from .series import LaurentPoly
+from .series import LaurentPoly, _order
 from .surface import RuledSurface
 from . import verify as verify_mod
 
@@ -228,9 +228,8 @@ def run(job: JobSpec) -> dict:
     mode adds the surface's intersection data.
     """
     report = {"schema": SCHEMA_VERSION, "input": jobspec_to_dict(job)}
-    if job.series_order < 0:
-        raise ValidationError("series_order must be >= 0")
-    if job.series_order > MAX_SERIES_ORDER:
+    order = _order(job.series_order)
+    if order > MAX_SERIES_ORDER:
         raise ValidationError(f"series_order must be <= {MAX_SERIES_ORDER}")
     surface = None
     if job.mode == "point":
@@ -246,7 +245,7 @@ def run(job: JobSpec) -> dict:
         koszul = tuple(job.base.k0(r, d) for r, d in job.parameters["koszul"])
         relation = PnBundleSpec(job.base, job.parameters["n"], koszul).relation_poly()
     gs = group_structure(relation)
-    ranks = _hilbert_ranks(relation, job.series_order)
+    ranks = _hilbert_ranks(relation, order)
     report["relation"] = _poly_json(relation)
     report["group_structure"] = {k: None if v is None else str(v) for k, v in vars(gs).items()}
     report["hilbert_ranks"] = [str(r) for r in ranks]

@@ -349,15 +349,13 @@ def _koszul_relation(owner, koszul: tuple[K0Class, ...], first: int = 0) -> tupl
     """Rank and degree lists of h = sum_q (-1)^q E_q T^q from the classes E_first, ..., E_(n+1).
 
     The one rule for which classes make a relation: each E_q lives over the base of ``owner``, a bundle
-    spec or a surface's E (by ``_require_same_base``), has rank binomial(n+1, q), and E_0 is the identity
-    (1, 0).  With ``first`` = 1, E_0 is understood.
+    spec or a surface's E (a check that belongs to ``_require_same_base``), has rank binomial(n+1, q),
+    and E_0 is the identity (1, 0).  With ``first`` = 1, E_0 is understood.
     """
     top, q = first + len(koszul) - 1, first  # n + 1, and the slot of the class at hand
     ranks, degrees = [1] * first, [0] * first
-    base = owner.base
     for c in koszul:
-        if c.base is not base:  # identity first: an equal base costs a call and a tuple compare
-            c._require_same_base(owner)
+        c._require_same_base(owner)
         if c.rank != comb(top, q):
             raise RankConstraintViolation(f"rank(E_{q}) must be binomial({top},{q}) = {comb(top, q)}, got {c.rank}")
         ranks.append(-c.rank if q & 1 else c.rank)

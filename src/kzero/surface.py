@@ -122,9 +122,8 @@ class RuledSurface:
         Walks NF(b*T^-i) over the exponents i of ``a``: O(span a + span b + log gap).
         ``a`` is paired term by term as given (see the module docstring).
         """
-        if a.surface is not self or b.surface is not self:
-            self._require_own(a)
-            self._require_own(b)
+        self._require_own(a)
+        self._require_own(b)
         return self._walk(_normal_form(self._relation, b.rep.lo - a.rep.lo, b.rep.ranks, b.rep.degrees), a.rep)
 
     def _walk(self, nf, a: LaurentPoly) -> int:
@@ -171,7 +170,7 @@ class RuledSurface:
         return IntersectionLattice(basis, names, gram, ((0, 1, 0),), (u, w), ("fiber", "H"), ns_gram)
 
     def _require_own(self, c: SurfaceClass) -> None:
-        if c.surface != self:
+        if c.surface is not self and c.surface != self:
             raise BaseMismatch("class belongs to a different surface")
 
 
@@ -190,8 +189,7 @@ class SurfaceClass:
     rep: LaurentPoly
 
     def __post_init__(self):
-        if self.rep.base is not self.surface.base:  # identity first: an equal base costs a call and a tuple compare
-            self.rep._require_same_base(self.surface)
+        self.rep._require_same_base(self.surface)
 
     def coeff(self, i: int) -> K0Class:
         return self.rep.coeff(i)

@@ -309,6 +309,12 @@ def test_series_order_limit(capsys):
     assert json.loads(capsys.readouterr().out)["hilbert_ranks"] == ["1"] * 100_001
 
 
+def test_a_negative_series_order_fails_by_the_one_truncation_order_rule(capsys):
+    assert main(["run", "--mode", "point", "--relation", "1,-1", "--series-order", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: truncation order must be >= 0\n" and captured.out == ""
+
+
 def test_internal_invariant_failure_exits_three_without_a_traceback(monkeypatch, capsys):
     assert not issubclass(InvariantViolation, ValueError)  # never read as bad input
     # a pairing off by one puts nonzero entries in the Gram's middle row and column

@@ -90,6 +90,19 @@ def test_a_base_mismatch_has_one_message(build):
     assert type(info.value) is BaseMismatch
 
 
+def test_classes_over_an_equal_but_distinct_base_pass_the_base_rule():
+    """``_require_same_base`` tests identity first, then falls through to equality: an equal copy is the same base.
+
+    Two classes of equal but distinct surfaces are tested in ``tests/test_surface.py``.
+    """
+    twin = BaseSpace("curve", 1)
+    assert twin is not X and twin == X and SURFACE.base is not twin
+    rep = LaurentPoly(twin, {0: twin.one, 1: twin.k0(0, 1)})
+    assert SurfaceClass(SURFACE, rep).rep is rep
+    assert PnBundleSpec(X, 1, (twin.one, twin.k0(2, 1), twin.k0(1, 0))) == P1
+    assert LaurentPoly.one(twin) + LaurentPoly.one(X) == LaurentPoly(X, {0: X.k0(2)})
+
+
 def test_a_structure_sheaf_and_a_shift_name_a_bad_exponent_alike():
     for bad in ("3", None, 1.5):
         messages = []

@@ -7,8 +7,10 @@ and the relation polynomial have one body each, which the other class
 types bind, and one function raises the Koszul rank error.  One function
 each builds a base mismatch for a class over another base, reads an
 integer by ``operator.index`` (beside the integer kernel's matrix copy)
-and states the genus rule.  No module but the package's re-exporting
-``__init__`` imports a name it never uses.
+and states the genus rule.  Each ownership rule, ``_require_same_base``
+and ``_require_own``, holds the one identity test of an owner, and one
+function states that a truncation order must be >= 0.  No module but
+the package's re-exporting ``__init__`` imports a name it never uses.
 """
 
 import ast
@@ -116,6 +118,28 @@ def test_one_body_each_for_the_base_integer_and_genus_rules():
         for alias in node.names
     }
     assert imports == {("index", None)}  # so no alias hides a reader from the check above
+
+
+def test_each_ownership_rule_owns_its_identity_test_and_one_function_bounds_an_order():
+    def tests_owner_identity(node):  # ``x.base is not y.base`` or ``c.surface is not self``
+        return (
+            isinstance(node, ast.Compare)
+            and any(isinstance(op, ast.IsNot) for op in node.ops)
+            and any(
+                isinstance(sub, ast.Attribute) and sub.attr in ("base", "surface")
+                for operand in (node.left, *node.comparators)
+                for sub in ast.walk(operand)
+            )
+        )
+
+    def states_the_order_rule(node):
+        return isinstance(node, ast.Constant) and "order must be >= 0" in str(node.value)
+
+    assert owners(tests_owner_identity) == [
+        "base.py:K0Class._require_same_base",
+        "surface.py:RuledSurface._require_own",
+    ]
+    assert owners(states_the_order_rule) == ["series.py:_order"]
 
 
 def unused_imports(source):
